@@ -4,13 +4,11 @@ from .ablation import AblationTable, ablation_arms, run_ablation
 from .bench import attention_complexity_scan, bench_throughput, construction_complexity_scan
 from .checkpoint import load_tensors, save_tensors
 from .construct import (
-    DegreePair,
     IncidenceMatrix,
     TokenSet,
     baseline_construct,
     build_incidence,
     cs_knn,
-    degrees,
     knn_assign,
     sample_centers,
     score_tokens,
@@ -20,7 +18,6 @@ from .data import ToyDataset, ToyDatasetSpec, make_toy_dataset
 from .gradcheck import GradCheckReport, grad_check_suite
 from .messaging import (
     DropPath,
-    EdgeTokens,
     HgaParams,
     broadcast_e2n,
     hga_e2n,

@@ -34,8 +34,6 @@ from .model import HGFormer, variant
 from .tensor import ConfigError, NumericalError, ShapeError, Tensor
 from .training import TrainConfig, train
 
-SYNTH_VERSION = 1  # bump if synthetic generators ever change, so golden files track it
-
 _ALGO_FLAGS = ("cs-knn", "knn", "kmeans", "dpc-knn")
 _VARIANT_FLAGS = ("T", "S", "B", "Micro")
 
@@ -251,7 +249,7 @@ def _add_train_flags(p, epochs: int, samples: int, batch_size: int):
     p.add_argument("--weight-decay", type=float, default=0.05, help="decoupled weight decay")
     p.add_argument("--warmup-epochs", type=int, default=2, help="linear warmup epochs")
     p.add_argument("--early-stop-acc", type=float, default=None, help="stop once val accuracy reaches this")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or CPU count)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or 1)")
 
 
 def build_parser() -> CliParser:
@@ -286,7 +284,6 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gate over all parameters")
     p.add_argument("--variant", choices=_VARIANT_FLAGS, default="Micro", help="network variant")
-    p.add_argument("--fp64", action="store_true", default=True, help="run in float64 (always on)")
     p.add_argument("--image-size", type=int, default=8, help="probe image side")
     p.add_argument("--n-classes", type=int, default=2, help="classifier width")
     p.add_argument("--batch", type=int, default=2, help="probe batch size")
@@ -316,7 +313,7 @@ def build_parser() -> CliParser:
     p.add_argument("--batch", type=int, default=4, help="images per timed iteration")
     p.add_argument("--warmup-iters", type=int, default=2, help="untimed warmup iterations")
     p.add_argument("--timed-iters", type=int, default=5, help="timed iterations")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or CPU count)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or 1)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     p.set_defaults(func=cmd_bench)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
-from .tensor import ConfigError, Tensor, add_flops
+from .tensor import ConfigError, NumericalError, Tensor, add_flops
 
 DISTANCE_KINDS = ("dot", "cosine", "euclidean", "softmax")
 CONSTRUCT_ALGOS = ("cs_knn", "knn", "kmeans", "dpc_knn")
@@ -81,12 +82,14 @@ class IncidenceMatrix:
             raise ConfigError("need at least one hyperedge with one member")
         if m.min() < 0 or m.max() >= self.n_nodes:
             raise ConfigError("member index out of range")
-        for j in range(m.shape[0]):
-            row = m[j]
-            if np.any(row[1:] <= row[:-1]):
+        unordered = (m[:, 1:] <= m[:, :-1]).any(axis=1)
+        centerless = ~(m == c[:, None]).any(axis=1)
+        bad = unordered | centerless
+        if bad.any():
+            j = int(np.argmax(bad))
+            if unordered[j]:
                 raise ConfigError(f"hyperedge {j} members not strictly ascending")
-            if c[j] not in row:
-                raise ConfigError(f"center {c[j]} missing from its hyperedge {j}")
+            raise ConfigError(f"center {c[j]} missing from its hyperedge {j}")
 
     @property
     def n_edges(self) -> int:
@@ -97,37 +100,35 @@ class IncidenceMatrix:
         return self.members.shape[1]
 
     @cached_property
-    def node_ids(self) -> np.ndarray:
-        return self.members.ravel()
-
-    @cached_property
-    def edge_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_edges, dtype=np.int64), self.k)
-
-    @cached_property
     def d_v(self) -> np.ndarray:
-        return np.bincount(self.node_ids, minlength=self.n_nodes).astype(np.int64)
+        return np.bincount(self.members.ravel(), minlength=self.n_nodes).astype(np.int64)
 
     @cached_property
     def d_e(self) -> np.ndarray:
         return np.full(self.n_edges, self.k, dtype=np.int64)
+
+    @cached_property
+    def sparse(self) -> sp.csc_array:
+        """H as a sparse {0,1} matrix of shape (N, Ne).
+
+        Column j holds hyperedge j's K ascending members, so ``members`` is
+        the compressed layout as it stands. ``sparse @ e`` adds each node's
+        hyperedge rows one at a time, in ascending hyperedge order.
+        """
+        ne, k = self.members.shape
+        ones = np.ones(ne * k, dtype=np.float32)
+        return sp.csc_array((ones, self.members.ravel(), np.arange(0, ne * k + 1, k)), shape=(self.n_nodes, ne))
+
+    @cached_property
+    def sparse_t(self) -> sp.csr_array:
+        """Hᵀ of shape (Ne, N), sharing :attr:`sparse`'s arrays; adds members in ascending order."""
+        return self.sparse.T
 
     def dense(self) -> np.ndarray:
         """Explicit {0,1} incidence of shape (N, Ne), for oracle comparisons."""
         h = np.zeros((self.n_nodes, self.n_edges), dtype=np.float64)
         h[self.members.T, np.arange(self.n_edges)] = 1.0
         return h
-
-
-@dataclass(frozen=True)
-class DegreePair:
-    d_v: np.ndarray
-    d_e: np.ndarray
-
-
-def degrees(h: IncidenceMatrix) -> DegreePair:
-    """Row and column sums of the incidence matrix."""
-    return DegreePair(d_v=h.d_v.copy(), d_e=h.d_e.copy())
 
 
 # --------------------------------------------------------------------------
@@ -167,27 +168,53 @@ def score_tokens(tokens: TokenSet, distance: str = "dot") -> np.ndarray:
     return similarity(tokens.class_token.data, tokens.nodes.data, distance)[0]
 
 
+def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Per row, mark the first k entries of a stable descending sort.
+
+    Every entry above the row's k-th largest value is kept; the slots left
+    go to the entries equal to it, lowest index first. NaN has no rank.
+    """
+    if np.isnan(values).any():
+        raise NumericalError("construction ranking met a NaN similarity")
+    n = values.shape[1]
+    if k == n:
+        return np.ones(values.shape, dtype=bool)
+    kth = np.partition(values, n - k, axis=1)[:, n - k, None]
+    mask = values > kth
+    tied = values == kth
+    free = k - mask.sum(axis=1)
+    crowded = np.flatnonzero(tied.sum(axis=1) > free)
+    if crowded.size:
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= free[crowded, None]
+    return mask | tied
+
+
 def sample_centers(scores: np.ndarray, n_edges: int) -> np.ndarray:
     """Indices of the ``n_edges`` largest scores, ties to the lower index, sorted."""
-    scores = np.asarray(scores).reshape(-1)
-    n = scores.shape[0]
+    scores = np.asarray(scores).reshape(1, -1)
+    n = scores.shape[1]
     if not 1 <= n_edges <= n:
         raise ConfigError(f"need 1 <= n_edges <= {n}, got {n_edges}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:n_edges]).astype(np.int64)
+    return np.flatnonzero(_top_k_mask(scores, n_edges)[0]).astype(np.int64)
 
 
 def _rank_members(sims: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
-    """Top-k nodes per similarity row with forced center inclusion."""
-    order = np.argsort(-sims, axis=1, kind="stable")
-    members = np.empty((len(centers), k), dtype=np.int64)
-    for j, ctr in enumerate(centers):
-        sel = order[j, :k]
-        if ctr not in sel:
-            sel = sel.copy()
-            sel[k - 1] = ctr
-        members[j] = np.sort(sel)
-    return members
+    """Top-k nodes per similarity row with forced center inclusion, each row ascending.
+
+    A center outside its row's top k replaces the k-th ranked member: the
+    smallest selected value and, among ties, the highest index.
+    """
+    mask = _top_k_mask(sims, k)
+    miss = np.flatnonzero(~mask[np.arange(len(centers)), centers])
+    if miss.size:
+        sel, vals = mask[miss], sims[miss]
+        low = np.min(vals, axis=1, where=sel, initial=np.inf, keepdims=True)
+        last = sims.shape[1] - 1 - np.argmax((sel & (vals == low))[:, ::-1], axis=1)
+        mask[miss, last] = False
+        mask[miss, centers[miss]] = True
+    rows, n = mask.shape
+    # every row holds exactly k marks, so the flat indices split evenly by row
+    return np.flatnonzero(mask).reshape(rows, k) - np.arange(0, rows * n, n)[:, None]
 
 
 def knn_assign(tokens: TokenSet, centers: np.ndarray, k: int, distance: str = "dot") -> IncidenceMatrix:

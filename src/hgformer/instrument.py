@@ -90,7 +90,3 @@ def collect_core_flops():
 def record_core_flops(n: int) -> None:
     for rec in _tls.core_flops:
         rec.append(n)
-
-
-def core_flops_active() -> bool:
-    return bool(_tls.core_flops)

@@ -37,10 +37,6 @@ from .tensor import (
     transpose,
 )
 
-# Hyperedge tokens are plain (Ne, C) tensors.
-EdgeTokens = Tensor
-
-
 @dataclass
 class LinearParams:
     weight: Tensor
@@ -168,31 +164,31 @@ def init_hga_params(
 # hypergraph convolution
 
 
-def hgconv_n2e(v: Tensor, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> EdgeTokens:
+def hgconv_n2e(v: Tensor, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> Tensor:
     """Predict hyperedge tokens: per-edge mean of member nodes, linear map, GELU.
 
     Since every hyperedge has exactly K members, the inverse-degree-weighted
     aggregation is exactly the member mean.
     """
-    pooled = edge_gather_mean(v, h.members)
+    pooled = edge_gather_mean(v, h)
     e = matmul(pooled, w_conv)
     return gelu(e) if activation else e
 
 
-def hgconv_e2n(e: EdgeTokens, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> Tensor:
+def hgconv_e2n(e: Tensor, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> Tensor:
     """Predict node tokens: per-node mean over incident hyperedges, linear map, GELU.
 
     Nodes covered by no hyperedge receive the zero vector before the linear
     map (the inverse of a zero degree is taken as zero).
     """
-    agg = node_scatter_mean(e, h.node_ids, h.edge_ids, h.d_v, h.n_nodes)
+    agg = node_scatter_mean(e, h)
     y = matmul(agg, w_conv)
     return gelu(y) if activation else y
 
 
-def broadcast_e2n(e: EdgeTokens, h: IncidenceMatrix) -> Tensor:
+def broadcast_e2n(e: Tensor, h: IncidenceMatrix) -> Tensor:
     """Plain mean broadcast of hyperedge tokens back to their member nodes."""
-    return node_scatter_mean(e, h.node_ids, h.edge_ids, h.d_v, h.n_nodes)
+    return node_scatter_mean(e, h)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def topo_attention(
 # full directions
 
 
-def hga_n2e(v: Tensor, h: IncidenceMatrix, p: HgaParams, drop: DropPath = NO_DROP) -> EdgeTokens:
+def hga_n2e(v: Tensor, h: IncidenceMatrix, p: HgaParams, drop: DropPath = NO_DROP) -> Tensor:
     """Node-to-hyperedge messaging: convolution prediction, attention refinement.
 
     The predicted hyperedge tokens carry the local topology as queries; the
@@ -281,7 +277,7 @@ def hga_n2e(v: Tensor, h: IncidenceMatrix, p: HgaParams, drop: DropPath = NO_DRO
 
 
 def hga_e2n(
-    e: EdgeTokens,
+    e: Tensor,
     h: IncidenceMatrix,
     grid: tuple[int, int],
     p: HgaParams,

@@ -14,10 +14,13 @@ rule stays auditable.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
+
+if TYPE_CHECKING:
+    from .construct import IncidenceMatrix
 
 __all__ = [
     "ConfigError",
@@ -39,7 +42,6 @@ __all__ = [
     "matmul",
     "mean_rows",
     "mul",
-    "neg",
     "node_scatter_mean",
     "pad_spatial",
     "reshape",
@@ -102,10 +104,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> np.ndarray:
-        """The raw value buffer, outside any gradient bookkeeping."""
-        return self.data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" name={self.name!r}" if self.name else ""
@@ -320,10 +318,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         accum(a, g * s)
 
     return _make(a.data * s, (a,), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -573,47 +567,36 @@ def extract_patches(x: Tensor, stride: int) -> Tensor:
 # hypergraph gather / scatter
 
 
-def edge_gather_mean(v: Tensor, members: np.ndarray) -> Tensor:
-    """Mean of ``v`` rows per hyperedge: ``members`` is ``(Ne, K)`` node indices."""
-    if v.data.ndim != 2:
-        raise ShapeError(f"edge_gather_mean expects 2-d tokens, got {v.shape}")
-    ne, k = members.shape
+def edge_gather_mean(v: Tensor, h: IncidenceMatrix) -> Tensor:
+    """Mean of ``v`` rows over each hyperedge's K members: ``D_e^-1 Hᵀ v``."""
+    if v.data.ndim != 2 or v.shape[0] != h.n_nodes:
+        raise ShapeError(f"edge_gather_mean expects ({h.n_nodes}, C) tokens, got {v.shape}")
+    ne, k = h.members.shape
     add_flops(ne * k * v.shape[1])
 
     def bwd(g, accum):
         if v.requires_grad:
-            dv = np.zeros_like(v.data)
-            np.add.at(dv, members.ravel(), np.repeat(g / k, k, axis=0))
-            accum(v, dv)
+            accum(v, h.sparse @ (g / k))
 
-    return _make(v.data[members].mean(axis=1), (v,), bwd)
+    return _make(v.data[h.members].mean(axis=1), (v,), bwd)
 
 
-def node_scatter_mean(
-    e: Tensor,
-    node_ids: np.ndarray,
-    edge_ids: np.ndarray,
-    node_degree: np.ndarray,
-    n_nodes: int,
-) -> Tensor:
-    """Mean of incident hyperedge rows per node; zero-degree nodes get zeros.
+def node_scatter_mean(e: Tensor, h: IncidenceMatrix) -> Tensor:
+    """Mean of incident hyperedge rows per node, ``D_v^+ H e``; zero-degree nodes get zeros.
 
-    ``node_ids`` / ``edge_ids`` are the flattened incidence pairs; the inverse
-    degree of a zero-degree node is taken as 0 (pseudo-inverse convention).
+    The inverse degree of a zero-degree node is taken as 0 (pseudo-inverse
+    convention).
     """
-    if e.data.ndim != 2:
-        raise ShapeError(f"node_scatter_mean expects 2-d edge tokens, got {e.shape}")
-    denom = np.maximum(node_degree, 1).astype(e.data.dtype)
-    out = np.zeros((n_nodes, e.shape[1]), dtype=e.data.dtype)
-    np.add.at(out, node_ids, e.data[edge_ids])
-    out /= denom[:, None]
-    add_flops(node_ids.size * e.shape[1])
+    if e.data.ndim != 2 or e.shape[0] != h.n_edges:
+        raise ShapeError(f"node_scatter_mean expects ({h.n_edges}, C) edge tokens, got {e.shape}")
+    denom = np.maximum(h.d_v, 1).astype(e.data.dtype)[:, None]
+    out = h.sparse @ e.data
+    out /= denom
+    add_flops(h.members.size * e.shape[1])
 
     def bwd(g, accum):
         if e.requires_grad:
-            de = np.zeros_like(e.data)
-            np.add.at(de, edge_ids, g[node_ids] / denom[node_ids, None])
-            accum(e, de)
+            accum(e, h.sparse_t @ (g / denom))
 
     return _make(out, (e,), bwd)
 

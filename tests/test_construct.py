@@ -8,16 +8,16 @@ from hypothesis import assume, given, strategies as st
 from hgformer.construct import (
     IncidenceMatrix,
     TokenSet,
+    _rank_members,
     baseline_construct,
     build_incidence,
     cs_knn,
-    degrees,
     knn_assign,
     sample_centers,
     score_tokens,
     topology_dump,
 )
-from hgformer.tensor import ConfigError, Tensor
+from hgformer.tensor import ConfigError, NumericalError, Tensor
 
 
 def make_tokens(nodes, cls=None, grid=None):
@@ -101,6 +101,66 @@ def test_sample_centers_rejects_bad_ne():
         sample_centers(np.zeros(3), 0)
 
 
+def test_nan_similarity_is_a_numerical_error():
+    with pytest.raises(NumericalError):
+        sample_centers(np.array([0.5, np.nan, 0.1]), 2)
+    with pytest.raises(NumericalError):
+        _rank_members(np.array([[1.0, 2.0], [np.nan, 0.0]]), np.array([0, 1]), 1)
+
+
+# stable-argsort references: the first k of a stable descending sort, then
+# (for members) the center swapped in for the k-th ranked node
+
+
+def ref_sample_centers(scores, n_edges):
+    return np.sort(np.argsort(-scores, kind="stable")[:n_edges])
+
+
+def ref_rank_members(sims, centers, k):
+    order = np.argsort(-sims, axis=1, kind="stable")
+    members = np.empty((len(centers), k), dtype=np.int64)
+    for j, ctr in enumerate(centers):
+        sel = order[j, :k].copy()
+        if ctr not in sel:
+            sel[k - 1] = ctr
+        members[j] = np.sort(sel)
+    return members
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(["one", "all", "any"]),
+)
+def test_top_k_matches_stable_argsort_reference(seed, rows, n, dtype, k_kind):
+    rng = np.random.default_rng(seed)
+    k = {"one": 1, "all": n, "any": int(rng.integers(1, n + 1))}[k_kind]
+    # one decimal over a unit normal: most rows hold ties, at the k-th value too
+    vals = np.round(rng.normal(size=(rows, n)), 1).astype(dtype)
+    zeros = rng.random(vals.shape) < 0.2
+    vals[zeros] = rng.choice(np.array([0.0, -0.0], dtype=dtype), size=int(zeros.sum()))
+    centers = rng.integers(0, n, rows)
+    members = _rank_members(vals, centers, k)
+    assert members.dtype == np.int64
+    npt.assert_array_equal(members, ref_rank_members(vals, centers, k))
+    for row in vals:
+        got = sample_centers(row, k)
+        assert got.dtype == np.int64
+        npt.assert_array_equal(got, ref_sample_centers(row, k))
+
+
+def test_center_outside_top_k_replaces_the_kth_ranked_member():
+    # top 3 by stable rank: 1 (5.0), then 0 and 2 of the tied 2.0s; node 4
+    # misses and takes the place of node 2, the tied member ranked last
+    sims = np.array([[2.0, 5.0, 2.0, 2.0, 1.0], [-0.0, 0.0, 0.0, 1.0, -1.0]])
+    centers = np.array([4, 4])
+    expected = [[0, 1, 4], [0, 3, 4]]
+    npt.assert_array_equal(_rank_members(sims, centers, 3), expected)
+    npt.assert_array_equal(ref_rank_members(sims, centers, 3), expected)
+
+
 # --------------------------------------------------------------------------
 # knn assignment
 
@@ -116,9 +176,8 @@ def test_four_token_derived_membership():
     h = cs_knn(ts, n_edges=2, k=2)
     npt.assert_array_equal(h.centers, [0, 2])
     npt.assert_array_equal(h.members, [[0, 2], [0, 2]])
-    d = degrees(h)
-    npt.assert_array_equal(d.d_v, [2, 0, 2, 0])
-    npt.assert_array_equal(d.d_e, [2, 2])
+    npt.assert_array_equal(h.d_v, [2, 0, 2, 0])
+    npt.assert_array_equal(h.d_e, [2, 2])
 
 
 def test_cs_knn_identity_pattern():
@@ -127,9 +186,8 @@ def test_cs_knn_identity_pattern():
     h = cs_knn(ts, n_edges=5, k=1)
     assert sorted(h.members.ravel().tolist()) == [0, 1, 2, 3, 4]
     npt.assert_array_equal(h.members[:, 0], h.centers)
-    d = degrees(h)
-    npt.assert_array_equal(d.d_v, np.ones(5))
-    npt.assert_array_equal(d.d_e, np.ones(5))
+    npt.assert_array_equal(h.d_v, np.ones(5))
+    npt.assert_array_equal(h.d_e, np.ones(5))
 
 
 def test_cs_knn_single_edge_covers_everything():
@@ -201,9 +259,8 @@ def test_degree_double_counting(seed):
     k = int(rng.integers(1, min(n, 12) + 1))
     ts = make_tokens(rng.uniform(-1, 1, (n, 4)))
     h = cs_knn(ts, ne, k)
-    d = degrees(h)
-    assert d.d_v.sum() == d.d_e.sum() == ne * k
-    assert (d.d_e == k).all()
+    assert h.d_v.sum() == h.d_e.sum() == ne * k
+    assert (h.d_e == k).all()
 
 
 # --------------------------------------------------------------------------
@@ -286,8 +343,7 @@ def test_distance_variants_keep_structural_invariants(distance, rng):
     for j, row in enumerate(h.members):
         assert len(set(row.tolist())) == 6
         assert h.centers[j] in row
-    d = degrees(h)
-    assert d.d_v.sum() == 24
+    assert h.d_v.sum() == 24
 
 
 def test_softmax_distance_ranks_like_dot(rng):
@@ -303,8 +359,25 @@ def test_softmax_distance_ranks_like_dot(rng):
 
 
 def test_incidence_validates_center_membership():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^center 3 missing from its hyperedge 0$"):
         IncidenceMatrix(n_nodes=4, members=np.array([[0, 1]]), centers=np.array([3]))
+    # the first offending hyperedge is named, whichever fault a later one has
+    members = np.array([[0, 1], [1, 2], [2, 1], [0, 3]])
+    with pytest.raises(ConfigError, match=r"^center 0 missing from its hyperedge 1$"):
+        IncidenceMatrix(n_nodes=4, members=members, centers=np.array([0, 0, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "members, centers, first",
+    [
+        ([[0, 1], [2, 1], [0, 0]], [0, 1, 0], 1),  # descending pair
+        ([[0, 1, 2], [1, 2, 3], [1, 1, 3], [3, 2, 1]], [0, 1, 1, 1], 2),  # repeated member
+        ([[1, 0], [0, 3]], [2, 3], 0),  # unordered and missing its center: order is checked first
+    ],
+)
+def test_incidence_names_first_unordered_hyperedge(members, centers, first):
+    with pytest.raises(ConfigError, match=rf"^hyperedge {first} members not strictly ascending$"):
+        IncidenceMatrix(n_nodes=4, members=np.array(members), centers=np.array(centers))
 
 
 def test_cs_knn_rejects_bad_k(rng):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from hgformer.construct import IncidenceMatrix
 from hgformer.tensor import (
     ConfigError,
     NumericalError,
@@ -241,9 +242,7 @@ def test_ops_outside_tape_do_not_record():
 
 def _op_cases(rng):
     n_nodes = 6
-    members = np.array([[0, 2, 4], [1, 2, 5]])
-    edge_ids = np.repeat(np.arange(2), 3)
-    d_v = np.bincount(members.ravel(), minlength=n_nodes)
+    h = IncidenceMatrix(n_nodes=n_nodes, members=np.array([[0, 2, 4], [1, 2, 5]]), centers=np.array([2, 5]))
     return [
         ("matmul", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4, 2))), lambda a, b: matmul(a, b)),
         ("add_same", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4))), add),
@@ -277,11 +276,11 @@ def _op_cases(rng):
             (rng.uniform(-1, 1, (2, 4, 5)), rng.uniform(-1, 1, (2, 3, 3)), rng.uniform(-1, 1, 2)),
             depthwise_conv2d,
         ),
-        ("edge_gather_mean", (rng.uniform(-1, 1, (n_nodes, 4)),), lambda v: edge_gather_mean(v, members)),
+        ("edge_gather_mean", (rng.uniform(-1, 1, (n_nodes, 4)),), lambda v: edge_gather_mean(v, h)),
         (
             "node_scatter_mean",
             (rng.uniform(-1, 1, (2, 4)),),
-            lambda e: node_scatter_mean(e, members.ravel(), edge_ids, d_v, n_nodes),
+            lambda e: node_scatter_mean(e, h),
         ),
         ("cross_entropy", (rng.uniform(-1, 1, (1, 5)),), lambda a: cross_entropy_logits(a, 2)),
     ]
@@ -310,6 +309,61 @@ def test_op_gradients_match_finite_differences(name):
     for t, g in zip(tensors, grads):
         assert g is not None, f"{name}: missing gradient"
         assert rel_err_max(g, numeric_grad(loss, t)) < 1e-4, f"{name}: gradient mismatch"
+
+
+# --------------------------------------------------------------------------
+# hypergraph gather / scatter against the np.add.at formulation
+
+
+def add_at_reference(members, n_nodes, v, e, g_nodes, g_edges):
+    """Edge-gather backward, node-scatter forward and backward, accumulated with np.add.at."""
+    ne, k = members.shape
+    node_ids = members.ravel()
+    edge_ids = np.repeat(np.arange(ne), k)
+    denom = np.maximum(np.bincount(node_ids, minlength=n_nodes), 1).astype(e.dtype)
+    dv = np.zeros_like(v)
+    np.add.at(dv, node_ids, np.repeat(g_edges / k, k, axis=0))
+    out = np.zeros((n_nodes, e.shape[1]), dtype=e.dtype)
+    np.add.at(out, node_ids, e[edge_ids])
+    out /= denom[:, None]
+    de = np.zeros_like(e)
+    np.add.at(de, edge_ids, g_nodes[node_ids] / denom[node_ids, None])
+    return dv, out, de
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 30),
+    st.integers(1, 6),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_gather_scatter_byte_equal_to_add_at(seed, n_nodes, channels, dtype):
+    rng = np.random.default_rng(seed)
+    # members come from a proper subset of the nodes, so some have degree 0
+    pool = np.sort(rng.choice(n_nodes, int(rng.integers(1, n_nodes)), replace=False))
+    ne, k = int(rng.integers(1, 9)), int(rng.integers(1, pool.size + 1))
+    members = np.sort(np.stack([rng.choice(pool, k, replace=False) for _ in range(ne)]), axis=1)
+    h = IncidenceMatrix(n_nodes=n_nodes, members=members, centers=members[:, 0])
+    assert (h.d_v == 0).any()
+
+    def draw(rows):
+        x = rng.normal(size=(rows, channels)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        return x
+
+    v_data, e_data, g_nodes, g_edges = draw(n_nodes), draw(ne), draw(n_nodes), draw(ne)
+    ref_dv, ref_out, ref_de = add_at_reference(members, n_nodes, v_data, e_data, g_nodes, g_edges)
+
+    v = Tensor(v_data, requires_grad=True)
+    e = Tensor(e_data, requires_grad=True)
+    with Tape() as tape:
+        pooled = edge_gather_mean(v, h)
+        out = node_scatter_mean(e, h)
+        loss = add(sum_all(mul(pooled, Tensor(g_edges))), sum_all(mul(out, Tensor(g_nodes))))
+    tape.backward(loss)
+    for got, ref in ((out.data, ref_out), (v.grad, ref_dv), (e.grad, ref_de)):
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------------
