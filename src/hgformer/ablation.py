@@ -104,7 +104,6 @@ def run_ablation(
     dataset: ToyDataset,
     train_cfg: TrainConfig,
     n_seeds: int = 3,
-    threads: int | None = None,
     log=None,
 ) -> AblationTable:
     """Train every arm ``n_seeds`` times on the shared dataset and seed set."""
@@ -116,7 +115,7 @@ def run_ablation(
     for arm_name, cfg in arms:
         for i in range(n_seeds):
             run_cfg = replace(train_cfg, seed=train_cfg.seed + i)
-            report = train(cfg, dataset, run_cfg, threads=threads)
+            report = train(cfg, dataset, run_cfg)
             rows.append(AblationRow(arm=arm_name, seed=run_cfg.seed, final_acc=report.final_acc, wall_s=report.wall_time_s))
             reports.append(report)
             if log:

@@ -1,16 +1,16 @@
 """Throughput measurement and operation-count scaling fits.
 
-Throughput is the median over timed iterations after warmup, with a wall-time
-breakdown of construction vs messaging vs the rest. The scaling fits use the
-deterministic flop counters: the attention interaction term must grow
-linearly in the token count, the channel width, and the hyperedge count
-independently, and construction work tracks tokens x hyperedges.
+Throughput is the median over timed iterations after warmup, with a
+per-image wall-time breakdown of construction vs messaging vs the rest. The
+scaling fits use the deterministic flop counters: the attention interaction
+term must grow linearly in the token count, the channel width, and the
+hyperedge count independently, and construction work tracks tokens x
+hyperedges.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from . import instrument
 from .construct import TokenSet, cs_knn
 from .messaging import init_hga_params, topo_attention
 from .model import HGFormer, NetworkConfig
-from .tensor import FlopCounter, Tensor
-from .training import worker_count
+from .tensor import ConfigError, FlopCounter, Tensor
 
 
 def fit_linear(xs, ys) -> dict:
@@ -99,47 +98,45 @@ def bench_throughput(
     warmup_iters: int = 2,
     timed_iters: int = 5,
     seed: int = 0,
-    threads: int | None = None,
 ) -> dict:
     """Eval-mode images/s plus per-section wall time and per-image flops.
+
+    ``per_op_s`` gives seconds per image for each section and for ``other``,
+    the rest of the timed wall time: each section's total over the timed
+    iterations divided by ``timed_iters * batch``, so its entries sum to the
+    mean wall time per image.
 
     Returns ``{"deterministic": ..., "timing": ...}``; only the second half
     varies between runs, so seeded outputs stay byte-stable.
     """
+    if batch < 1 or timed_iters < 1:
+        raise ConfigError(f"bench needs batch and timed_iters of at least 1, got {batch} and {timed_iters}")
     model = HGFormer(net_cfg, seed=seed)
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, (batch, 3, image_size, image_size)).astype(np.float32)
 
-    n_workers = worker_count(threads)
-    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-
     def run_batch():
-        if pool is not None:
-            list(pool.map(lambda i: model.forward(Tensor(images[i])), range(batch)))
-        else:
-            for i in range(batch):
-                model.forward(Tensor(images[i]))
+        for i in range(batch):
+            model.forward(Tensor(images[i]))
 
-    try:
-        for _ in range(warmup_iters):
+    for _ in range(warmup_iters):
+        run_batch()
+    durations = []
+    with instrument.collect_timings() as sections:
+        for _ in range(timed_iters):
+            t0 = time.perf_counter()
             run_batch()
-        durations = []
-        with instrument.collect_timings() as sections:
-            for _ in range(timed_iters):
-                t0 = time.perf_counter()
-                run_batch()
-                durations.append(time.perf_counter() - t0)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            durations.append(time.perf_counter() - t0)
 
     with FlopCounter() as flops:
         model.forward(Tensor(images[0]))
 
     median = float(np.median(durations))
     total = float(sum(durations))
-    breakdown = {k: float(v) for k, v in sorted(sections.items())}
-    breakdown["other"] = max(0.0, total - sum(breakdown.values()))
+    other = max(0.0, total - sum(sections.values()))
+    n_images = timed_iters * batch
+    breakdown = {k: float(v) / n_images for k, v in sorted(sections.items())}
+    breakdown["other"] = other / n_images
     return {
         "deterministic": {
             "variant": net_cfg.name,

@@ -8,6 +8,8 @@ reused for single-tensor CLI inputs (one entry named ``input``).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections import OrderedDict
 from typing import Mapping
@@ -39,27 +41,41 @@ def save_tensors(path, named: Mapping[str, np.ndarray]) -> None:
             f.write(a.tobytes())
 
 
-def _read(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ConfigError("truncated tensor container")
-    return buf
-
-
 def load_tensors(path) -> "OrderedDict[str, np.ndarray]":
+    """Read a container; any malformed content raises :class:`ConfigError`.
+
+    Every declared size is checked against the bytes left in the file before
+    it is read, and bytes after the last entry are rejected.
+    """
     out: OrderedDict[str, np.ndarray] = OrderedDict()
     with open(path, "rb") as f:
-        if _read(f, 4) != MAGIC:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            buf = f.read(n) if n <= size - f.tell() else b""
+            if len(buf) != n:
+                raise ConfigError(f"{path}: truncated tensor container")
+            return buf
+
+        if read(4) != MAGIC:
             raise ConfigError(f"{path}: not a tensor container (bad magic)")
-        version, count = struct.unpack("<II", _read(f, 8))
+        version, count = struct.unpack("<II", read(8))
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported container version {version}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read(f, 2))
-            name = _read(f, nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", _read(f, 1))
-            dims = struct.unpack(f"<{rank}Q", _read(f, 8 * rank)) if rank else ()
-            n_items = int(np.prod(dims)) if rank else 1
-            payload = _read(f, 4 * n_items)
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            (nlen,) = struct.unpack("<H", read(2))
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: tensor name is not valid UTF-8") from exc
+            (rank,) = struct.unpack("<B", read(1))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank))
+            payload = read(4 * math.prod(dims))
+            try:
+                out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            except ValueError as exc:
+                raise ConfigError(f"{path}: entry {name!r} has unsupported shape {dims}") from exc
+        trailing = size - f.tell()
+        if trailing:
+            raise ConfigError(f"{path}: {trailing} trailing bytes after the last entry")
     return out

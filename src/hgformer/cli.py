@@ -6,7 +6,7 @@ files), 2 numerical failure (gradient gate, non-finite loss).
 
 Every stochastic subcommand takes ``--seed`` and its primary output files are
 byte-identical across reruns; wall-clock measurements go to separate
-``*timing*`` files. ``HGF_THREADS`` caps worker parallelism.
+``*timing*`` files.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         early_stop_val_acc=args.early_stop_acc,
     )
-    report = train(net_cfg, dataset, train_cfg, threads=args.threads, out_dir=args.out, log=print)
+    report = train(net_cfg, dataset, train_cfg, out_dir=args.out, log=print)
     _write_json(os.path.join(args.out, "run_report.json"), report.deterministic_dict())
     _write_json(os.path.join(args.out, "timing.json"), report.timing_dict())
     print(
@@ -197,7 +197,7 @@ def cmd_ablate(args) -> int:
         seed=args.seed,
         early_stop_val_acc=args.early_stop_acc,
     )
-    table = run_ablation(arms, dataset, train_cfg, n_seeds=args.seeds, threads=args.threads, log=print)
+    table = run_ablation(arms, dataset, train_cfg, n_seeds=args.seeds, log=print)
     _write_text(os.path.join(args.out, "ablation.csv"), table.to_csv())
     _write_text(os.path.join(args.out, "ablation_det.csv"), table.deterministic_csv())
     _write_json(os.path.join(args.out, "ablation_summary.json"), table.summary())
@@ -215,7 +215,6 @@ def cmd_bench(args) -> int:
         warmup_iters=args.warmup_iters,
         timed_iters=args.timed_iters,
         seed=args.seed,
-        threads=args.threads,
     )
     deterministic = dict(result["deterministic"])
     deterministic["attention_scaling"] = attention_complexity_scan()
@@ -249,7 +248,6 @@ def _add_train_flags(p, epochs: int, samples: int, batch_size: int):
     p.add_argument("--weight-decay", type=float, default=0.05, help="decoupled weight decay")
     p.add_argument("--warmup-epochs", type=int, default=2, help="linear warmup epochs")
     p.add_argument("--early-stop-acc", type=float, default=None, help="stop once val accuracy reaches this")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or 1)")
 
 
 def build_parser() -> CliParser:
@@ -313,7 +311,6 @@ def build_parser() -> CliParser:
     p.add_argument("--batch", type=int, default=4, help="images per timed iteration")
     p.add_argument("--warmup-iters", type=int, default=2, help="untimed warmup iterations")
     p.add_argument("--timed-iters", type=int, default=5, help="timed iterations")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: HGF_THREADS or 1)")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p)
     p.set_defaults(func=cmd_bench)

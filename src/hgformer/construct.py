@@ -58,7 +58,7 @@ class TokenSet:
         return self.nodes.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """Sparse boolean node/hyperedge incidence.
 

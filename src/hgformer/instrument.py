@@ -1,4 +1,4 @@
-"""Thread-local instrumentation: attention audits, timing sections, core flops.
+"""Instrumentation: attention audits, timing sections, core flops.
 
 Everything here is inert unless a collector context is active, so the hot
 path pays only an attribute lookup.
@@ -6,21 +6,15 @@ path pays only an attribute lookup.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
 
-class _TLS(threading.local):
-    def __init__(self):
-        self.audits: list[list] = []
-        self.timers: list[dict] = []
-        self.core_flops: list[list] = []
-
-
-_tls = _TLS()
+_audits: list[list] = []
+_timers: list[dict] = []
+_core_flops: list[list] = []
 
 
 @contextmanager
@@ -31,17 +25,17 @@ def attention_audit():
     weight matrix computed inside the context.
     """
     rec: list[tuple[float, int]] = []
-    _tls.audits.append(rec)
+    _audits.append(rec)
     try:
         yield rec
     finally:
-        _tls.audits.pop()
+        _audits.pop()
 
 
 def record_attention_weights(weights: np.ndarray) -> None:
-    if _tls.audits:
+    if _audits:
         dev = float(np.abs(weights.sum(axis=1) - 1.0).max())
-        for rec in _tls.audits:
+        for rec in _audits:
             rec.append((dev, weights.shape[0]))
 
 
@@ -49,17 +43,16 @@ def record_attention_weights(weights: np.ndarray) -> None:
 def collect_timings():
     """Accumulate wall time per named section into the yielded dict."""
     acc: dict[str, float] = {}
-    _tls.timers.append(acc)
+    _timers.append(acc)
     try:
         yield acc
     finally:
-        _tls.timers.pop()
+        _timers.pop()
 
 
 @contextmanager
 def section(name: str):
-    timers = _tls.timers
-    if not timers:
+    if not _timers:
         yield
         return
     t0 = time.perf_counter()
@@ -67,7 +60,7 @@ def section(name: str):
         yield
     finally:
         dt = time.perf_counter() - t0
-        for acc in timers:
+        for acc in _timers:
             acc[name] = acc.get(name, 0.0) + dt
 
 
@@ -80,13 +73,13 @@ def collect_core_flops():
     feedforwards are excluded here and measured by the general counter.
     """
     rec: list[int] = []
-    _tls.core_flops.append(rec)
+    _core_flops.append(rec)
     try:
         yield rec
     finally:
-        _tls.core_flops.pop()
+        _core_flops.pop()
 
 
 def record_core_flops(n: int) -> None:
-    for rec in _tls.core_flops:
+    for rec in _core_flops:
         rec.append(n)

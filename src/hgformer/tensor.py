@@ -13,7 +13,6 @@ rule stays auditable.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -74,9 +73,9 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 class Tensor:
     """Dense row-major float32/float64 array, optionally tracked for autodiff.
 
-    ``grad`` accumulates across backward passes until :meth:`zero_grad` (or
-    :func:`zero_grads`) resets it. Tensors produced by ops are treated as
-    immutable; parameter updates happen between steps by rebinding ``data``.
+    ``grad`` accumulates across backward passes until :func:`zero_grads`
+    resets it. Tensors produced by ops are treated as immutable; parameter
+    updates happen between steps by rebinding ``data``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name")
@@ -102,9 +101,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad}{tag})"
@@ -119,13 +115,8 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # tape
 
 
-class _TLS(threading.local):
-    def __init__(self):
-        self.tapes: list["Tape"] = []
-        self.flops: list["FlopCounter"] = []
-
-
-_tls = _TLS()
+_tapes: list["Tape"] = []
+_flop_counters: list["FlopCounter"] = []
 
 
 class Tape:
@@ -133,19 +124,18 @@ class Tape:
 
     Because records append in execution order, every op's inputs were produced
     earlier on the tape, which is the topological order backward relies on.
-    Tapes nest per-thread; independent tapes may run in parallel threads as
-    long as shared parameters are only read.
+    Tapes nest; ops record on the innermost one.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tls.tapes.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _tls.tapes.pop()
+        popped = _tapes.pop()
         assert popped is self, "tape stack corrupted"
         return False
 
@@ -154,19 +144,15 @@ class Tape:
 
     @staticmethod
     def active() -> "Tape | None":
-        stack = _tls.tapes
-        return stack[-1] if stack else None
+        return _tapes[-1] if _tapes else None
 
     def _record(self, out: Tensor, backward: Callable) -> None:
         self._records.append((out, backward))
 
-    def backward(self, loss: Tensor, into: dict[int, tuple[Tensor, np.ndarray]] | None = None) -> None:
-        """Accumulate d(loss)/d(leaf) for every recorded leaf that requires grad.
+    def backward(self, loss: Tensor) -> None:
+        """Add d(loss)/d(leaf) into ``Tensor.grad`` of every recorded leaf that requires grad.
 
-        Repeated calls without a reset add on top of existing gradients. When
-        ``into`` is given, leaf gradients are collected there (keyed by tensor
-        id) instead of being written to ``Tensor.grad``, which keeps parallel
-        backward passes over shared parameters race-free.
+        Repeated calls without a reset add on top of existing gradients.
         """
         if loss.size != 1:
             raise NumericalError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -190,14 +176,7 @@ class Tape:
             if key in produced or not t.requires_grad:
                 continue
             g = np.asarray(g).reshape(t.data.shape)
-            if into is not None:
-                slot = into.get(key)
-                if slot is None:
-                    into[key] = (t, g)
-                else:
-                    into[key] = (t, slot[1] + g)
-            else:
-                t.grad = g if t.grad is None else t.grad + g
+            t.grad = g if t.grad is None else t.grad + g
 
 
 class FlopCounter:
@@ -209,20 +188,18 @@ class FlopCounter:
         self.total = 0
 
     def __enter__(self) -> "FlopCounter":
-        _tls.flops.append(self)
+        _flop_counters.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _tls.flops.pop()
+        popped = _flop_counters.pop()
         assert popped is self
         return False
 
 
 def add_flops(n: int) -> None:
-    counters = _tls.flops
-    if counters:
-        for c in counters:
-            c.total += n
+    for c in _flop_counters:
+        c.total += n
 
 
 def _finite(data: np.ndarray) -> np.ndarray:

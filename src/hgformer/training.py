@@ -1,9 +1,10 @@
 """Training loop: decoupled-weight-decay Adam, warmup + cosine schedule.
 
-Batches are processed one sample at a time on independent tapes (optionally
-across a thread pool); per-sample gradients merge in sample order, so results
-are bit-identical regardless of worker count. The batch-averaged gradient is
-clipped to a global L2 norm of ``GRAD_CLIP_NORM`` before every optimizer step.
+Each image builds its own hypergraph, so a batch runs one sample at a time,
+each on its own tape, and every backward pass adds into ``Tensor.grad`` in
+sample order. The batch-averaged gradient is clipped to a global L2 norm of
+``GRAD_CLIP_NORM`` before every optimizer step; a non-finite norm aborts the
+run before the step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,24 +24,6 @@ from .tensor import ConfigError, NumericalError, Tape, Tensor, cross_entropy_log
 
 # global gradient-norm clip of the standard ViT training recipe
 GRAD_CLIP_NORM = 1.0
-
-
-def worker_count(threads: int | None = None) -> int:
-    """Resolve the worker cap: explicit arg, then HGF_THREADS, else 1.
-
-    Sequential is the fast default here: per-op dispatch is interpreter-bound
-    at desk scale, so extra threads mostly contend for the GIL. Results are
-    bit-identical for any worker count (gradients merge in sample order).
-    """
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("HGF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HGF_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 @dataclass(frozen=True)
@@ -170,54 +152,46 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return 0.5 * base_lr * (1.0 + np.cos(np.pi * progress))
 
 
-def _sample_pass(model: HGFormer, image: np.ndarray, label: int, flip: bool, rng_seed: tuple) -> tuple[float, bool, dict]:
+def _sample_pass(model: HGFormer, image: np.ndarray, label: int, flip: bool, rng_seed: tuple) -> tuple[float, bool]:
+    """Forward and backward of one sample; its gradients add into ``Tensor.grad``."""
     if flip:
         image = image[:, :, ::-1]
     with Tape() as tape:
         logits = model.forward(Tensor(image), training=True, rng=np.random.default_rng(rng_seed))
         loss = cross_entropy_logits(logits, int(label))
-    sink: dict = {}
-    tape.backward(loss, into=sink)
-    return loss.data.item(), int(np.argmax(logits.data)) == int(label), sink
+    tape.backward(loss)
+    return loss.data.item(), int(np.argmax(logits.data)) == int(label)
 
 
-def evaluate(model: HGFormer, images: np.ndarray, labels: np.ndarray, pool: ThreadPoolExecutor | None = None) -> float:
+def evaluate(model: HGFormer, images: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy in eval mode."""
-    def one(i):
-        logits = model.forward(Tensor(images[i]))
-        return int(np.argmax(logits.data)) == int(labels[i])
-
     n = labels.shape[0]
-    hits = list(pool.map(one, range(n))) if pool is not None else [one(i) for i in range(n)]
-    return float(sum(hits)) / n
+    hits = sum(int(np.argmax(model.forward(Tensor(images[i])).data)) == int(labels[i]) for i in range(n))
+    return float(hits) / n
 
 
 def train(
     net_cfg: NetworkConfig,
     dataset: ToyDataset,
     cfg: TrainConfig,
-    threads: int | None = None,
     out_dir=None,
     log=None,
 ) -> RunReport:
     """Train from scratch; returns the report and optionally writes a checkpoint.
 
     The checkpoint (``best.ckpt`` under ``out_dir``) tracks the best
-    validation accuracy. A non-finite loss aborts with the last learning rate
-    and gradient norm in the error message.
+    validation accuracy. A non-finite loss or gradient norm aborts with the
+    last learning rate and gradient norm in the error message.
     """
     model = HGFormer(net_cfg, seed=cfg.seed)
     optimizer = AdamW(model.named_parameters(), weight_decay=cfg.weight_decay)
     named = model.named_parameters()
-    id_to_name = {id(p): k for k, p in named.items()}
 
     n_train = dataset.n_train
     steps_per_epoch = (n_train + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
     warmup_steps = steps_per_epoch * cfg.warmup_epochs
 
-    n_workers = worker_count(threads)
-    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     shuffle_rng = np.random.default_rng(cfg.seed)
     # horizontal flip is a fixed per-sample coin (the only augmentation); keyed
     # by sample, not epoch, so a frozen optimizer sees identical epochs
@@ -229,66 +203,57 @@ def train(
     step = 0
     images_done = 0
     t_start = time.perf_counter()
-    try:
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n_train)
-            ep_loss, ep_hits = 0.0, 0
-            for b0 in range(0, n_train, cfg.batch_size):
-                idxs = order[b0 : b0 + cfg.batch_size]
-                jobs = [
-                    (model, dataset.train_images[i], dataset.train_labels[i], flips[i], (cfg.seed, epoch, int(i)))
-                    for i in idxs
-                ]
+
+    def aborted(reason) -> NumericalError:
+        return NumericalError(
+            f"training aborted at epoch {epoch} step {step}: {reason}; "
+            f"last_lr={last_lr:.6g} last_grad_norm={last_gnorm:.6g}"
+        )
+
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n_train)
+        ep_loss, ep_hits = 0.0, 0
+        for b0 in range(0, n_train, cfg.batch_size):
+            idxs = order[b0 : b0 + cfg.batch_size]
+            for i in idxs:
                 try:
-                    if pool is not None:
-                        results = list(pool.map(lambda a: _sample_pass(*a), jobs))
-                    else:
-                        results = [_sample_pass(*a) for a in jobs]
+                    loss_val, hit = _sample_pass(
+                        model, dataset.train_images[i], dataset.train_labels[i], flips[i], (cfg.seed, epoch, int(i))
+                    )
                 except NumericalError as exc:
-                    raise NumericalError(
-                        f"training aborted at epoch {epoch} step {step}: {exc}; "
-                        f"last_lr={last_lr:.6g} last_grad_norm={last_gnorm:.6g}"
-                    ) from exc
-                merged: dict[str, np.ndarray] = {}
-                for loss_val, hit, sink in results:
-                    ep_loss += loss_val
-                    ep_hits += hit
-                    for _, (t, g) in sink.items():
-                        name = id_to_name.get(id(t))
-                        if name is None:
-                            continue
-                        merged[name] = merged[name] + g if name in merged else g
-                inv_b = 1.0 / len(idxs)
-                grads = {name: g * inv_b for name, g in merged.items()}
-                last_gnorm = clip_grad_norm(grads, GRAD_CLIP_NORM)
-                for name, g in grads.items():
-                    named[name].grad = g
-                last_lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
-                optimizer.step(last_lr)
-                optimizer.zero_grad()
-                step += 1
-                images_done += len(idxs)
-            val_acc = evaluate(model, dataset.val_images, dataset.val_labels, pool)
-            st = EpochStats(
-                epoch=epoch,
-                train_loss=ep_loss / n_train,
-                train_acc=ep_hits / n_train,
-                val_acc=val_acc,
-                lr=last_lr,
-            )
-            stats.append(st)
-            if log:
-                log(f"epoch {epoch:3d}  loss {st.train_loss:.4f}  train {st.train_acc:.3f}  val {st.val_acc:.3f}")
-            if val_acc > best_acc:
-                best_acc, best_epoch = val_acc, epoch
-                if out_dir is not None:
-                    os.makedirs(str(out_dir), exist_ok=True)
-                    model.save(os.path.join(str(out_dir), "best.ckpt"))
-            if cfg.early_stop_val_acc is not None and val_acc >= cfg.early_stop_val_acc:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    raise aborted(exc) from exc
+                ep_loss += loss_val
+                ep_hits += hit
+            inv_b = 1.0 / len(idxs)
+            grads = {name: p.grad * inv_b for name, p in named.items() if p.grad is not None}
+            last_gnorm = clip_grad_norm(grads, GRAD_CLIP_NORM)
+            if not np.isfinite(last_gnorm):
+                raise aborted("non-finite gradient norm")
+            for name, g in grads.items():
+                named[name].grad = g
+            last_lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
+            optimizer.step(last_lr)
+            optimizer.zero_grad()
+            step += 1
+            images_done += len(idxs)
+        val_acc = evaluate(model, dataset.val_images, dataset.val_labels)
+        st = EpochStats(
+            epoch=epoch,
+            train_loss=ep_loss / n_train,
+            train_acc=ep_hits / n_train,
+            val_acc=val_acc,
+            lr=last_lr,
+        )
+        stats.append(st)
+        if log:
+            log(f"epoch {epoch:3d}  loss {st.train_loss:.4f}  train {st.train_acc:.3f}  val {st.val_acc:.3f}")
+        if val_acc > best_acc:
+            best_acc, best_epoch = val_acc, epoch
+            if out_dir is not None:
+                os.makedirs(str(out_dir), exist_ok=True)
+                model.save(os.path.join(str(out_dir), "best.ckpt"))
+        if cfg.early_stop_val_acc is not None and val_acc >= cfg.early_stop_val_acc:
+            break
     wall = time.perf_counter() - t_start
     return RunReport(
         variant=net_cfg.name,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hgformer.bench import (
     fit_linear,
 )
 from hgformer.model import variant
+from hgformer.tensor import ConfigError
 
 
 def test_fit_linear_recovers_exact_line():
@@ -45,6 +48,29 @@ def test_bench_reports_structure_and_batch_band():
     per_image_4 = 1.0 / r4["timing"]["images_per_s"]
     ratio = max(per_image_1, per_image_4) / min(per_image_1, per_image_4)
     assert ratio < 4.0
+
+
+def test_per_op_seconds_are_per_image(monkeypatch):
+    # a clock that advances one second per reading makes every timed span an
+    # exact integer, so the per-image breakdown must add up exactly
+    ticks = iter(range(10**9))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    cfg = variant("Micro", n_classes=4)
+    r = bench_throughput(cfg, image_size=16, batch=3, warmup_iters=1, timed_iters=2, seed=0)
+    per_op = r["timing"]["per_op_s"]
+    # every forward opens one embed section per stage, one construction and
+    # one messaging section per block and one head section: 2 ticks each
+    sections_per_forward = len(cfg.depths) + 2 * sum(cfg.depths) + 1
+    per_iter = 3 * 2 * sections_per_forward + 1
+    assert r["timing"]["seconds_per_iter_median"] == per_iter
+    assert sum(per_op.values()) == pytest.approx(2 * per_iter / (2 * 3), rel=1e-12)
+    assert per_op["head"] == 1.0 and per_op["embed"] == len(cfg.depths)
+
+
+@pytest.mark.parametrize("kw", [{"batch": 0}, {"timed_iters": 0}])
+def test_bench_rejects_empty_measurement(kw):
+    with pytest.raises(ConfigError):
+        bench_throughput(variant("Micro", n_classes=4), image_size=16, **kw)
 
 
 def test_bench_deterministic_half_is_seed_stable():

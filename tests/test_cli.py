@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,22 @@ def test_topology_malformed_input_exits_1(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage-not-a-container")
     assert run(["topology", "--input", bad, "--ne", 2, "--k", 2, "--out", tmp_path / "x.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        struct.pack("<H", 5) + b"input" + struct.pack("<BQ", 1, 2**40),
+        struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BQ", 1, 1) + b"\x00" * 4,
+    ],
+    ids=["huge-dims", "bad-utf8"],
+)
+def test_forward_malformed_input_exits_1_with_one_line(tmp_path, capsys, body):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"HGFW" + struct.pack("<II", 1, 1) + body)
+    assert run(["forward", "--input", bad, "--out", tmp_path / "x.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_topology_seeded_rerun_byte_identical(tmp_path):

@@ -380,6 +380,13 @@ def test_incidence_names_first_unordered_hyperedge(members, centers, first):
         IncidenceMatrix(n_nodes=4, members=np.array(members), centers=np.array(centers))
 
 
+def test_incidence_compares_and_hashes_by_identity():
+    h1 = IncidenceMatrix(n_nodes=4, members=np.array([[0, 1]]), centers=np.array([0]))
+    h2 = IncidenceMatrix(n_nodes=4, members=np.array([[0, 1]]), centers=np.array([0]))
+    assert h1 == h1 and h1 != h2
+    assert len({h1, h2, h1}) == 2
+
+
 def test_cs_knn_rejects_bad_k(rng):
     ts = make_tokens(rng.uniform(-1, 1, (4, 2)))
     with pytest.raises(ConfigError):

@@ -14,7 +14,6 @@ from hgformer.training import (
     evaluate,
     lr_at,
     train,
-    worker_count,
 )
 
 
@@ -75,13 +74,79 @@ def test_seeded_runs_identical():
     assert r1.deterministic_dict() == r2.deterministic_dict()
 
 
-def test_worker_count_invariance():
+class _StopTraining(Exception):
+    pass
+
+
+def test_step_gradient_is_the_sample_order_mean_of_isolated_gradients(monkeypatch):
+    # each sample's gradient is recomputed alone, on a fresh model holding the
+    # step's parameters; a gradient left over from an earlier sample or step
+    # would break the bit-for-bit match
     ds = tiny_dataset()
-    cfg = TrainConfig(epochs=1, batch_size=4, base_lr=1e-3, seed=3)
-    r1 = train(variant("Micro", n_classes=2), ds, cfg, threads=1)
-    r2 = train(variant("Micro", n_classes=2), ds, cfg, threads=2)
-    assert [e.train_loss for e in r1.epochs] == [e.train_loss for e in r2.epochs]
-    assert r1.final_acc == r2.final_acc
+    net = variant("Micro", n_classes=2)
+    batch = 4
+    orig_pass = training_mod._sample_pass
+    orig_clip = training_mod.clip_grad_norm
+    isolated: list[dict[str, np.ndarray]] = []
+    merged: list[dict[str, np.ndarray]] = []
+
+    def spy_pass(model, image, label, flip, rng_seed):
+        alone = HGFormer(net, seed=0)
+        for name, p in alone.named_parameters().items():
+            p.data = model.named_parameters()[name].data.copy()
+        orig_pass(alone, image, label, flip, rng_seed)
+        isolated.append({k: p.grad for k, p in alone.named_parameters().items() if p.grad is not None})
+        return orig_pass(model, image, label, flip, rng_seed)
+
+    def spy_clip(grads, max_norm):
+        merged.append({k: g.copy() for k, g in grads.items()})
+        if len(merged) == 2:
+            raise _StopTraining
+        return orig_clip(grads, max_norm)
+
+    monkeypatch.setattr(training_mod, "_sample_pass", spy_pass)
+    monkeypatch.setattr(training_mod, "clip_grad_norm", spy_clip)
+    with pytest.raises(_StopTraining):
+        train(net, ds, TrainConfig(epochs=1, batch_size=batch, seed=3))
+    for step, got in enumerate(merged):
+        expected: dict[str, np.ndarray] = {}
+        for sample in isolated[step * batch : (step + 1) * batch]:
+            for name, g in sample.items():
+                expected[name] = expected[name] + g if name in expected else g
+        assert list(got) == [k for k in HGFormer(net, seed=0).named_parameters() if k in expected]
+        for name, g in expected.items():
+            want = g * (1.0 / batch)
+            assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes(), (step, name)
+
+
+def test_non_finite_gradient_aborts_before_the_step(monkeypatch):
+    ds = tiny_dataset()
+    orig_pass = training_mod._sample_pass
+    orig_step = AdamW.step
+    passes, steps = [], []
+
+    def poisoned_pass(model, image, label, flip, rng_seed):
+        out = orig_pass(model, image, label, flip, rng_seed)
+        passes.append(1)
+        if len(passes) == 5:  # first sample of step 1
+            p = model.named_parameters()["net.head.fc.weight"]
+            p.grad = p.grad.copy()
+            p.grad.flat[0] = np.inf
+        return out
+
+    def spy_step(self, lr):
+        orig_step(self, lr)
+        steps.append({k: p.data.copy() for k, p in self.params.items()})
+
+    monkeypatch.setattr(training_mod, "_sample_pass", poisoned_pass)
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    with pytest.raises(NumericalError) as err:
+        train(variant("Micro", n_classes=2), ds, TrainConfig(epochs=1, batch_size=4, seed=0))
+    msg = str(err.value)
+    assert "epoch 0 step 1:" in msg and "non-finite gradient norm" in msg
+    assert "last_lr=" in msg and "last_grad_norm=inf" in msg
+    assert len(steps) == 1
+    assert all(np.isfinite(v).all() for v in steps[0].values())
 
 
 def test_nan_loss_aborts_with_diagnostics():
@@ -193,14 +258,3 @@ def test_train_config_validation():
         TrainConfig(base_lr=-1.0)
     with pytest.raises(ConfigError):
         TrainConfig(schedule="step")
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("HGF_THREADS", raising=False)
-    assert worker_count(None) == 1
-    assert worker_count(3) == 3
-    monkeypatch.setenv("HGF_THREADS", "2")
-    assert worker_count(None) == 2
-    monkeypatch.setenv("HGF_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count(None)
