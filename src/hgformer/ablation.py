@@ -109,6 +109,8 @@ def run_ablation(
     """Train every arm ``n_seeds`` times on the shared dataset and seed set."""
     if len(arms) < 2:
         raise ConfigError("need at least two ablation arms")
+    if n_seeds < 1:
+        raise ConfigError(f"need at least one seed per arm, got {n_seeds}")
     _assert_single_factor(arms)
     rows: list[AblationRow] = []
     reports: list[RunReport] = []

@@ -73,6 +73,8 @@ def _synthetic_tokens(grid: tuple[int, int], channels: int, seed: int) -> np.nda
 
 
 def _synthetic_image(size: int, seed: int) -> np.ndarray:
+    if size < 1:
+        raise ConfigError(f"image size must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, (3, size, size)).astype(np.float32)
 

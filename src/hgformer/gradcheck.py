@@ -62,6 +62,8 @@ def grad_check_suite(
     entry_probes: int = 2,
 ) -> GradCheckReport:
     """Check tape gradients of a float64 model against central differences."""
+    if batch < 1:
+        raise ConfigError(f"gradcheck batch must be at least 1, got {batch}")
     t0 = time.perf_counter()
     cfg = config if config is not None else variant("Micro", n_classes=n_classes)
     model = HGFormer(cfg, seed=seed, dtype=np.float64)

@@ -22,7 +22,8 @@ from .tensor import (
     FlopCounter,
     Tensor,
     add,
-    concat_cols,
+    attention_mix,
+    attention_scores,
     depthwise_conv2d,
     edge_gather_mean,
     gelu,
@@ -31,10 +32,8 @@ from .tensor import (
     matmul,
     node_scatter_mean,
     scale,
-    slice_cols,
     softmax_rows,
     tokens_to_grid,
-    transpose,
 )
 
 @dataclass
@@ -105,8 +104,7 @@ NO_DROP = DropPath()
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    y = matmul(x, p.weight)
-    return add(y, p.bias) if p.bias is not None else y
+    return matmul(x, p.weight, p.bias)
 
 
 def apply_norm(x: Tensor, p: NormParams) -> Tensor:
@@ -200,6 +198,9 @@ def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Ten
 
     Queries come from ``query_src`` (the convolution predictions), keys and
     values from ``kv_src`` (the unrestricted token set on the other side).
+    All heads run as one stacked op for the scores, one scale and softmax
+    over their ``(H*Nq, Nk)`` rows, and one op mixing the values; head ``h``
+    owns channels ``[h*d, (h+1)*d)``.
     """
     c = query_src.shape[1]
     if kv_src.shape[1] != c:
@@ -209,22 +210,13 @@ def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Ten
     k_all = linear(kv_n, p.k)
     v_all = linear(kv_n, p.v)
 
-    d = c // p.n_heads
-    inv = 1.0 / math.sqrt(d)
-    heads = []
-    core = FlopCounter()
-    with core:
-        for hh in range(p.n_heads):
-            lo, hi = hh * d, (hh + 1) * d
-            qs = slice_cols(q_all, lo, hi) if p.n_heads > 1 else q_all
-            ks = slice_cols(k_all, lo, hi) if p.n_heads > 1 else k_all
-            vs = slice_cols(v_all, lo, hi) if p.n_heads > 1 else v_all
-            w = softmax_rows(scale(matmul(qs, transpose(ks)), inv))
-            instrument.record_attention_weights(w.data)
-            heads.append(matmul(w, vs))
+    with FlopCounter() as core:
+        w = softmax_rows(scale(attention_scores(q_all, k_all, p.n_heads), 1.0 / math.sqrt(c // p.n_heads)))
+        for rows in np.split(w.data, p.n_heads):
+            instrument.record_attention_weights(rows)
+        mixed = attention_mix(w, v_all, p.n_heads)
     instrument.record_core_flops(core.total)
-    cat = heads[0] if len(heads) == 1 else concat_cols(heads)
-    return linear(cat, p.out)
+    return linear(mixed, p.out)
 
 
 def feed_forward(

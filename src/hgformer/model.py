@@ -274,7 +274,7 @@ def patch_embed(image: Tensor, p: PatchEmbedParams) -> TokenSet:
     if (ph, pw) != (h, w):
         image = pad_spatial(image, ph, pw)
     patches = extract_patches(image, s)
-    tok = apply_norm(add(matmul(patches, p.weight), p.bias), p.norm)
+    tok = apply_norm(matmul(patches, p.weight, p.bias), p.norm)
     return TokenSet.from_nodes(tok, (ph // s, pw // s))
 
 
@@ -343,8 +343,8 @@ def network_forward(
 ) -> Tensor:
     """Full pyramid: per stage, embed then blocks; pooled head at the end."""
     x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.data.ndim != 3:
-        raise ConfigError(f"expected a (C,H,W) image, got {x.shape}")
+    if x.data.ndim != 3 or 0 in x.shape:
+        raise ConfigError(f"expected a non-empty (C,H,W) image, got {x.shape}")
     drop = DropPath(cfg.drop_path_rate, True, rng) if training else NO_DROP
     stages = cfg.stages()
     tokens: TokenSet | None = None

@@ -8,7 +8,9 @@ inference at lower cost.
 
 Layout is row-major and contiguous. Broadcasting is deliberately limited to
 bias-style patterns (vector against matrix rows or columns) so every backward
-rule stays auditable.
+rule stays auditable; :func:`matmul` takes such a bias, so an affine map is
+one op. Multi-head attention runs all heads of a call as one op each for the
+scores and the value mixing, head ``h`` owning columns ``[h*d, (h+1)*d)``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ __all__ = [
     "FlopCounter",
     "add",
     "add_flops",
-    "concat_cols",
+    "attention_mix",
+    "attention_scores",
     "cross_entropy_logits",
     "depthwise_conv2d",
     "edge_gather_mean",
@@ -45,11 +48,9 @@ __all__ = [
     "pad_spatial",
     "reshape",
     "scale",
-    "slice_cols",
     "softmax_rows",
     "sum_all",
     "tokens_to_grid",
-    "transpose",
     "zero_grads",
 ]
 
@@ -232,21 +233,84 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # arithmetic
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for 2-d operands. Backward: dA = dC·Bᵀ, dB = Aᵀ·dC."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b`` for 2-d operands, plus a ``bias`` broadcast as in :func:`add`. Backward: dA = dC·Bᵀ, dB = Aᵀ·dC."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    add_flops(2 * m * k * n)
+    if bias is not None and not _broadcast_ok((m, n), bias.shape):
+        raise ShapeError(f"matmul bias {bias.shape} does not broadcast to ({m}, {n})")
+    add_flops(2 * m * k * n + (0 if bias is None else m * n))
 
     def bwd(g, accum):
+        if bias is not None and bias.requires_grad:
+            accum(bias, _reduce_to(g, bias.data.shape))
         if a.requires_grad:
             accum(a, g @ b.data.T)
         if b.requires_grad:
             accum(b, a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), bwd)
+    y = a.data @ b.data
+    return _make(y, (a, b), bwd) if bias is None else _make(y + bias.data, (a, b, bias), bwd)
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """``(N, H*d)`` -> ``(H, N, d)``, each head's block a C-ordered copy as a column slice gives."""
+    n, c = x.shape
+    return np.ascontiguousarray(x.reshape(n, n_heads, c // n_heads).transpose(1, 0, 2))
+
+
+def _join_heads(x: np.ndarray) -> np.ndarray:
+    """``(H, N, d)`` -> ``(N, H*d)``, head by head: a C-ordered copy, or one head's block as it is."""
+    h, n, d = x.shape
+    return x[0] if h == 1 else np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, h * d)
+
+
+def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
+    """Per-head logits ``Q_h K_hᵀ`` of ``(N, H*d)`` queries and keys, stacked into ``(H*Nq, Nk)`` rows.
+
+    Each head multiplies contiguous copies of its column blocks, as a 2-d :func:`matmul` of them would.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1] or q.shape[1] % n_heads:
+        raise ShapeError(f"attention_scores shapes incompatible: {q.shape} x {k.shape} in {n_heads} heads")
+    nq, c = q.shape
+    nk = k.shape[0]
+    qh = _split_heads(q.data, n_heads)
+    kt = np.ascontiguousarray(k.data.reshape(nk, n_heads, c // n_heads).transpose(1, 2, 0))
+    add_flops(2 * nq * c * nk)
+
+    def bwd(g, accum):
+        g = g.reshape(n_heads, nq, nk)
+        if q.requires_grad:
+            accum(q, _join_heads(g @ kt.transpose(0, 2, 1)))
+        if k.requires_grad:
+            # dK as (Q_hᵀ G_h)ᵀ: OpenBLAS picks its kernel by operand layout, so
+            # the bits of the downstream g @ Wᵀ depend on dK's layout, which is
+            # kept as the transposed view for one head and C order for several
+            accum(k, _join_heads((qh.transpose(0, 2, 1) @ g).transpose(0, 2, 1)))
+
+    return _make((qh @ kt).reshape(n_heads * nq, nk), (q, k), bwd)
+
+
+def attention_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Per-head mixing ``W_h V_h`` of stacked ``(H*Nq, Nk)`` weights, heads side by side in ``(Nq, H*d)``."""
+    if w.data.ndim != 2 or v.data.ndim != 2 or w.shape[1] != v.shape[0] or w.shape[0] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"attention_mix shapes incompatible: {w.shape} x {v.shape} in {n_heads} heads")
+    nk, c = v.shape
+    nq = w.shape[0] // n_heads
+    w3 = w.data.reshape(n_heads, nq, nk)
+    vh = _split_heads(v.data, n_heads)
+    add_flops(2 * nq * nk * c)
+
+    def bwd(g, accum):
+        g = g.reshape(nq, n_heads, c // n_heads).transpose(1, 0, 2)
+        if w.requires_grad:
+            accum(w, (g @ vh.transpose(0, 2, 1)).reshape(n_heads * nq, nk))
+        if v.requires_grad:
+            accum(v, _join_heads(w3.transpose(0, 2, 1) @ g))
+
+    return _make(_join_heads(w3 @ vh), (w, v), bwd)
 
 
 def _broadcast_ok(a_shape, b_shape) -> bool:
@@ -389,47 +453,11 @@ def gelu(x: Tensor) -> Tensor:
 # layout
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects 2-d input, got {a.shape}")
-
-    def bwd(g, accum):
-        accum(a, g.T)
-
-    return _make(a.data.T, (a,), bwd)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(g, accum):
         accum(a, g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), bwd)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= lo < hi <= a.shape[1]):
-        raise ShapeError(f"bad column slice [{lo}:{hi}] for shape {a.shape}")
-
-    def bwd(g, accum):
-        full = np.zeros_like(a.data)
-        full[:, lo:hi] = g
-        accum(a, full)
-
-    return _make(a.data[:, lo:hi], (a,), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(g, accum):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                accum(p, g[:, lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
 def tokens_to_grid(t: Tensor, grid: tuple[int, int]) -> Tensor:

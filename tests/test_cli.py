@@ -97,6 +97,35 @@ def test_forward_malformed_input_exits_1_with_one_line(tmp_path, capsys, body):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["forward", "--image-size", 0],
+        ["forward", "--image-size", -4],
+        ["gradcheck", "--batch", 0],
+        ["ablate", "--arms", "architecture", "--seeds", 0, "--samples-per-class", 3, "--image-size", 16, "--n-classes", 2],
+    ],
+    ids=["forward-empty-image", "forward-negative-size", "gradcheck-batch-0", "ablate-seeds-0"],
+)
+def test_zero_size_run_exits_1_with_one_line(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 0), (3, 0, 16), (0, 16, 16)])
+def test_forward_empty_input_image_exits_1_with_one_line(tmp_path, capsys, shape):
+    image = tmp_path / "empty.ckpt"
+    save_tensors(image, {"input": np.zeros(shape, np.float32)})
+    out = tmp_path / "x.json"
+    assert run(["forward", "--input", image, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a non-empty (C,H,W) image") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_topology_seeded_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["topology", "--ne", 4, "--k", 8, "--seed", 11, "--out", a])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,11 +17,24 @@ from hgformer.messaging import (
     hga_n2e,
     hgconv_e2n,
     hgconv_n2e,
+    apply_norm,
     init_hga_params,
+    linear,
     multi_head_attention,
     topo_attention,
 )
-from hgformer.tensor import Tape, Tensor, add, cross_entropy_logits, mul, scale, sum_all
+from hgformer.tensor import (
+    Tape,
+    Tensor,
+    add,
+    attention_mix,
+    attention_scores,
+    cross_entropy_logits,
+    mul,
+    scale,
+    softmax_rows,
+    sum_all,
+)
 
 from conftest import numeric_grad, rel_err_max
 
@@ -335,3 +350,75 @@ def test_attention_core_flops_linear_in_each_size():
         grown = _core_count(*args)
         ratio = grown / base
         assert 1.7 < ratio < 2.3, (grow, ratio)
+
+
+# --------------------------------------------------------------------------
+# stacked heads against a loop over heads
+
+
+def per_head_reference(q, k, v, n_heads, g_out):
+    """The attention core one head at a time, on contiguous copies of each head's columns.
+
+    Returns the joined head outputs and the gradients of ``q``, ``k`` and
+    ``v`` for the upstream gradient ``g_out``. With several heads each
+    per-head gradient is zero-padded to full width and the padded arrays are
+    summed, last head first; ``k``'s gradient is that of ``Kᵀ`` transposed
+    back (a view when there is one head).
+    """
+    nq, c = q.shape
+    d = c // n_heads
+    inv = 1.0 / math.sqrt(d)
+    outs, grads = [], [None, None, None]
+    for h in reversed(range(n_heads)):
+        cols = slice(h * d, (h + 1) * d)
+        qs, ks, vs = (np.ascontiguousarray(x[:, cols]) for x in (q, k, v))
+        kt = np.ascontiguousarray(ks.T)
+        s = (qs @ kt) * inv
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        outs.insert(0, w @ vs)
+        g = g_out[:, cols]
+        dw = g @ vs.T
+        ds = (w * (dw - (dw * w).sum(axis=1, keepdims=True))) * inv
+        for i, (x, part) in enumerate(((q, ds @ kt.T), (k, (qs.T @ ds).T), (v, w.T @ g))):
+            if n_heads > 1:
+                full = np.zeros_like(x)
+                full[:, cols] = part
+                part = full
+            grads[i] = part if grads[i] is None else grads[i] + part
+    return np.concatenate(outs, axis=1), grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "nq,nk,c,heads", [(8, 64, 16, 1), (4, 16, 32, 1), (98, 196, 160, 5), (49, 49, 256, 8), (4, 1, 80, 2), (1, 1, 128, 4)]
+)
+def test_stacked_heads_byte_equal_to_per_head_loop(nq, nk, c, heads, dtype):
+    rng = np.random.default_rng(nq * 1000 + nk + c + heads)
+    p = init_hga_params(c, heads, rng, dtype=dtype, std=0.3)
+    query_src = Tensor(rng.standard_normal((nq, c)), dtype=dtype)
+    kv_src = Tensor(rng.standard_normal((nk, c)), dtype=dtype)
+    g_out = rng.standard_normal((nq, c)).astype(dtype)
+
+    # the full attention call against the loop on its own projections
+    kv_n = apply_norm(kv_src, p.norm_kv)
+    q_all, k_all, v_all = linear(apply_norm(query_src, p.norm_q), p.q).data, linear(kv_n, p.k).data, linear(kv_n, p.v).data
+    ref_out, ref_grads = per_head_reference(q_all, k_all, v_all, heads, g_out)
+    with instrument.attention_audit() as audit:
+        out = multi_head_attention(query_src, kv_src, p)
+    assert out.data.tobytes() == (ref_out @ p.out.weight.data + p.out.bias.data).tobytes()
+    assert [n_rows for _, n_rows in audit] == [nq] * heads
+
+    # the stacked ops alone, for the gradients of q_all, k_all and v_all
+    leaves = [Tensor(x, requires_grad=True) for x in (q_all, k_all, v_all)]
+    q, k, v = leaves
+    with Tape() as tape:
+        mixed = attention_mix(softmax_rows(scale(attention_scores(q, k, heads), 1.0 / math.sqrt(c // heads))), v, heads)
+        loss = sum_all(mul(mixed, Tensor(g_out)))
+    tape.backward(loss)
+    assert mixed.data.tobytes() == ref_out.tobytes()
+    for name, t, ref in zip("qkv", leaves, ref_grads):
+        assert t.grad.dtype == ref.dtype, name
+        assert t.grad.tobytes() == ref.tobytes(), name
+        # downstream matmuls take their kernel from the layout, so it must match too
+        assert t.grad.strides == ref.strides, name

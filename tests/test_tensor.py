@@ -13,7 +13,8 @@ from hgformer.tensor import (
     Tape,
     Tensor,
     add,
-    concat_cols,
+    attention_mix,
+    attention_scores,
     cross_entropy_logits,
     depthwise_conv2d,
     edge_gather_mean,
@@ -28,11 +29,9 @@ from hgformer.tensor import (
     pad_spatial,
     reshape,
     scale,
-    slice_cols,
     softmax_rows,
     sum_all,
     tokens_to_grid,
-    transpose,
     zero_grads,
 )
 
@@ -52,6 +51,11 @@ def tape_grad(build_loss, *tensors):
 
 # --------------------------------------------------------------------------
 # matmul
+
+
+def test_matmul_bias_must_broadcast_over_the_product():
+    with pytest.raises(ShapeError, match="bias"):
+        matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(3)))
 
 
 def test_matmul_identity_bitwise():
@@ -245,6 +249,21 @@ def _op_cases(rng):
     h = IncidenceMatrix(n_nodes=n_nodes, members=np.array([[0, 2, 4], [1, 2, 5]]), centers=np.array([2, 5]))
     return [
         ("matmul", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4, 2))), lambda a, b: matmul(a, b)),
+        (
+            "matmul_bias_row",
+            (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (2,))),
+            matmul,
+        ),
+        (
+            "attention_scores",
+            (rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (4, 6))),
+            lambda q, k: attention_scores(q, k, 2),
+        ),
+        (
+            "attention_mix",
+            (rng.uniform(0, 1, (6, 4)), rng.uniform(-1, 1, (4, 6))),
+            lambda w, v: attention_mix(w, v, 2),
+        ),
         ("add_same", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4))), add),
         ("add_row", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4,))), add),
         ("add_row2d", (rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (1, 4))), add),
@@ -259,14 +278,7 @@ def _op_cases(rng):
             layer_norm,
         ),
         ("gelu", (rng.uniform(-1, 1, (3, 4)),), gelu),
-        ("transpose", (rng.uniform(-1, 1, (3, 4)),), transpose),
         ("reshape", (rng.uniform(-1, 1, (3, 4)),), lambda a: reshape(a, (2, 6))),
-        ("slice_cols", (rng.uniform(-1, 1, (3, 6)),), lambda a: slice_cols(a, 1, 4)),
-        (
-            "concat_cols",
-            (rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 3))),
-            lambda a, b: concat_cols([a, b]),
-        ),
         ("tokens_to_grid", (rng.uniform(-1, 1, (6, 4)),), lambda a: tokens_to_grid(a, (2, 3))),
         ("grid_to_tokens", (rng.uniform(-1, 1, (4, 2, 3)),), grid_to_tokens),
         ("pad_spatial", (rng.uniform(-1, 1, (2, 2, 3)),), lambda a: pad_spatial(a, 4, 4)),
