@@ -68,6 +68,8 @@ def _load_input_tensor(path, expect_rank: int) -> tuple[np.ndarray, dict]:
 
 
 def _synthetic_tokens(grid: tuple[int, int], channels: int, seed: int) -> np.ndarray:
+    if min(grid) < 1 or channels < 1:
+        raise ConfigError(f"synthetic tokens need grid dimensions and channels of at least 1, got {grid} and {channels}")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((grid[0] * grid[1], channels)).astype(np.float32)
 

@@ -37,6 +37,8 @@ class TokenSet:
         n, c = self.nodes.shape
         if n < 1 or c < 1:
             raise ConfigError(f"need at least one token and one channel, got {n}x{c}")
+        if min(self.grid) < 1:
+            raise ConfigError(f"grid dimensions must be at least 1, got {self.grid}")
         if self.grid[0] * self.grid[1] != n:
             raise ConfigError(f"grid {self.grid} does not cover {n} tokens")
         if self.class_token.shape != (1, c):

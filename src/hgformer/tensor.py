@@ -506,14 +506,17 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> T
     add_flops(18 * x.size)
 
     def bwd(g, accum):
+        # sum the bias on g as received: its layout sets the summation order
+        if bias is not None and bias.requires_grad:
+            accum(bias, _reduce_to(g.sum(axis=(1, 2)), bias.data.shape))
+        # grid_to_tokens hands on a channel-last view; the 18 tap products run faster on a C-ordered copy
+        g = np.ascontiguousarray(g)
         if kernel.requires_grad:
             dk = np.empty_like(kernel.data)
             for i in range(3):
                 for j in range(3):
                     dk[:, i, j] = (g * pad[:, i : i + h, j : j + w]).sum(axis=(1, 2))
             accum(kernel, dk)
-        if bias is not None and bias.requires_grad:
-            accum(bias, _reduce_to(g.sum(axis=(1, 2)), bias.data.shape))
         if x.requires_grad:
             dpad = np.zeros_like(pad)
             for i in range(3):

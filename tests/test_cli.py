@@ -126,6 +126,22 @@ def test_forward_empty_input_image_exits_1_with_one_line(tmp_path, capsys, shape
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args",
+    [["--grid", -2, -3], ["--channels", -3], ["--grid", 0, 0], ["--input", "six.ckpt", "--grid", -2, -3]],
+    ids=["negative-grid", "negative-channels", "zero-grid", "file-negative-grid"],
+)
+def test_topology_bad_grid_or_channels_exits_1_with_one_line(tmp_path, capsys, args):
+    save_tensors(tmp_path / "six.ckpt", {"input": np.ones((6, 4), np.float32)})
+    args = [tmp_path / a if a == "six.ckpt" else a for a in args]
+    out = tmp_path / "x.json"
+    assert run(["topology", "--ne", 2, "--k", 2, *args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_topology_seeded_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["topology", "--ne", 4, "--k", 8, "--seed", 11, "--out", a])

@@ -197,6 +197,53 @@ def test_conv_rejects_non_3x3_kernel():
         depthwise_conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 5))))
 
 
+def recorded_backward(op, inputs, g):
+    """Run the one backward ``op`` records on the upstream gradient ``g`` as given."""
+    with Tape() as tape:
+        op(*inputs)
+    ((_, bwd),) = tape._records
+    got = {}
+    bwd(g, lambda t, arr: got.__setitem__(id(t), arr))
+    return [got[id(t)] for t in inputs]
+
+
+def conv_backward_loop_reference(x, k, g):
+    """The per-tap loop on ``g`` in whatever layout it arrives: dx, dk and the bias sum."""
+    c, h, w = x.shape
+    pad = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    dk = np.empty_like(k)
+    dpad = np.zeros_like(pad)
+    for i in range(3):
+        for j in range(3):
+            dk[:, i, j] = (g * pad[:, i : i + h, j : j + w]).sum(axis=(1, 2))
+            dpad[:, i : i + h, j : j + w] += k[:, i, j, None, None] * g
+    return dpad[:, 1 : 1 + h, 1 : 1 + w], dk, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("layout", ["c_order", "channel_last"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 5), (64, 8, 8), (16, 14, 14), (320, 2, 2), (512, 1, 1)], ids=lambda s: "x".join(map(str, s))
+)
+def test_conv_backward_byte_equal_to_loop_for_either_gradient_layout(shape, dtype, layout):
+    c, h, w = shape
+    rng = np.random.default_rng(c * 1000 + h)
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    k = Tensor(rng.normal(size=(c, 3, 3)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+    if layout == "c_order":
+        g = rng.normal(size=shape).astype(dtype)
+    else:
+        # the gradient grid_to_tokens hands on for C-ordered (N, C) token rows
+        g_tok = rng.normal(size=(h * w, c)).astype(dtype)
+        (g,) = recorded_backward(grid_to_tokens, [x], g_tok)
+        assert g.strides == g_tok.T.reshape(c, h, w).strides
+    got = recorded_backward(depthwise_conv2d, [x, k, b], g)
+    for arr, ref in zip(got, conv_backward_loop_reference(x.data, k.data, g)):
+        assert arr.dtype == ref.dtype
+        assert arr.tobytes() == ref.tobytes()
+
+
 # --------------------------------------------------------------------------
 # backward contracts
 
