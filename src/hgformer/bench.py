@@ -14,9 +14,8 @@ import time
 
 import numpy as np
 
-from . import instrument
 from .construct import TokenSet, cs_knn
-from .messaging import init_hga_params, topo_attention
+from .messaging import attention_core
 from .model import HGFormer, NetworkConfig
 from .tensor import ConfigError, FlopCounter, Tensor
 
@@ -34,13 +33,10 @@ def fit_linear(xs, ys) -> dict:
 
 def _attention_core_count(n_queries: int, n_kv: int, channels: int, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
-    heads = max(1, channels // 32)
-    params = init_hga_params(channels, heads, rng, dtype=np.float32, with_ffn=False)
-    q_src = Tensor(rng.standard_normal((n_queries, channels)).astype(np.float32))
-    kv_src = Tensor(rng.standard_normal((n_kv, channels)).astype(np.float32))
-    with instrument.collect_core_flops() as rec:
-        topo_attention(q_src, kv_src, params)
-    return int(sum(rec))
+    q, k, v = (Tensor(rng.standard_normal((n, channels)).astype(np.float32)) for n in (n_queries, n_kv, n_kv))
+    with FlopCounter() as c:
+        attention_core(q, k, v, max(1, channels // 32))
+    return c.total
 
 
 def attention_complexity_scan(
@@ -111,6 +107,8 @@ def bench_throughput(
     """
     if batch < 1 or timed_iters < 1:
         raise ConfigError(f"bench needs batch and timed_iters of at least 1, got {batch} and {timed_iters}")
+    if image_size < 1 or warmup_iters < 0:
+        raise ConfigError(f"bench needs image_size >= 1 and warmup_iters >= 0, got {image_size} and {warmup_iters}")
     model = HGFormer(net_cfg, seed=seed)
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, (batch, 3, image_size, image_size)).astype(np.float32)
@@ -122,7 +120,7 @@ def bench_throughput(
     for _ in range(warmup_iters):
         run_batch()
     durations = []
-    with instrument.collect_timings() as sections:
+    with FlopCounter() as timed:
         for _ in range(timed_iters):
             t0 = time.perf_counter()
             run_batch()
@@ -133,9 +131,9 @@ def bench_throughput(
 
     median = float(np.median(durations))
     total = float(sum(durations))
-    other = max(0.0, total - sum(sections.values()))
+    other = max(0.0, total - sum(timed.seconds.values()))
     n_images = timed_iters * batch
-    breakdown = {k: float(v) / n_images for k, v in sorted(sections.items())}
+    breakdown = {k: float(v) / n_images for k, v in sorted(timed.seconds.items())}
     breakdown["other"] = other / n_images
     return {
         "deterministic": {

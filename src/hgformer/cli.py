@@ -168,7 +168,6 @@ def _dataset_from_args(args) -> ToyDatasetSpec:
 
 def cmd_train(args) -> int:
     net_cfg = variant(args.variant, n_classes=args.n_classes)
-    dataset = make_toy_dataset(_dataset_from_args(args))
     train_cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -178,6 +177,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         early_stop_val_acc=args.early_stop_acc,
     )
+    dataset = make_toy_dataset(_dataset_from_args(args))
     report = train(net_cfg, dataset, train_cfg, out_dir=args.out, log=print)
     _write_json(os.path.join(args.out, "run_report.json"), report.deterministic_dict())
     _write_json(os.path.join(args.out, "timing.json"), report.timing_dict())
@@ -191,7 +191,6 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     base = variant(args.variant, n_classes=args.n_classes)
     arms = ablation_arms(args.arms, base)
-    dataset = make_toy_dataset(_dataset_from_args(args))
     train_cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -201,6 +200,7 @@ def cmd_ablate(args) -> int:
         seed=args.seed,
         early_stop_val_acc=args.early_stop_acc,
     )
+    dataset = make_toy_dataset(_dataset_from_args(args))
     table = run_ablation(arms, dataset, train_cfg, n_seeds=args.seeds, log=print)
     _write_text(os.path.join(args.out, "ablation.csv"), table.to_csv())
     _write_text(os.path.join(args.out, "ablation_det.csv"), table.deterministic_csv())

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 from .tensor import ConfigError, NumericalError, Tensor, add_flops
 
 DISTANCE_KINDS = ("dot", "cosine", "euclidean", "softmax")
-CONSTRUCT_ALGOS = ("cs_knn", "knn", "kmeans", "dpc_knn")
 BASELINE_ALGOS = ("knn", "kmeans", "dpc_knn")
 
 KMEANS_ITERS = 20

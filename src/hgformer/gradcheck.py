@@ -8,6 +8,7 @@ parameters; any relative error at or above the tolerance fails the gate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -64,6 +65,10 @@ def grad_check_suite(
     """Check tape gradients of a float64 model against central differences."""
     if batch < 1:
         raise ConfigError(f"gradcheck batch must be at least 1, got {batch}")
+    if image_size < 1:
+        raise ConfigError(f"gradcheck image size must be at least 1, got {image_size}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"gradcheck tolerance must be finite and positive, got {tol}")
     t0 = time.perf_counter()
     cfg = config if config is not None else variant("Micro", n_classes=n_classes)
     model = HGFormer(cfg, seed=seed, dtype=np.float64)

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import instrument
 from .construct import IncidenceMatrix
 from .tensor import (
     ConfigError,
-    FlopCounter,
     Tensor,
     add,
     attention_mix,
@@ -194,13 +192,10 @@ def broadcast_e2n(e: Tensor, h: IncidenceMatrix) -> Tensor:
 
 
 def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Tensor:
-    """Pre-normalized multi-head cross attention, output-projected.
+    """Pre-normalized multi-head cross attention around :func:`attention_core`, output-projected.
 
     Queries come from ``query_src`` (the convolution predictions), keys and
     values from ``kv_src`` (the unrestricted token set on the other side).
-    All heads run as one stacked op for the scores, one scale and softmax
-    over their ``(H*Nq, Nk)`` rows, and one op mixing the values; head ``h``
-    owns channels ``[h*d, (h+1)*d)``.
     """
     c = query_src.shape[1]
     if kv_src.shape[1] != c:
@@ -209,14 +204,19 @@ def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Ten
     kv_n = apply_norm(kv_src, p.norm_kv)
     k_all = linear(kv_n, p.k)
     v_all = linear(kv_n, p.v)
+    return linear(attention_core(q_all, k_all, v_all, p.n_heads), p.out)
 
-    with FlopCounter() as core:
-        w = softmax_rows(scale(attention_scores(q_all, k_all, p.n_heads), 1.0 / math.sqrt(c // p.n_heads)))
-        for rows in np.split(w.data, p.n_heads):
-            instrument.record_attention_weights(rows)
-        mixed = attention_mix(w, v_all, p.n_heads)
-    instrument.record_core_flops(core.total)
-    return linear(mixed, p.out)
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """The interaction term on ``(N, H*d)`` projections: scaled scores, row softmax, value mixing.
+
+    All heads run as one stacked op for the scores, one scale and softmax
+    over their ``(H*Nq, Nk)`` rows, and one op mixing the values; head ``h``
+    owns channels ``[h*d, (h+1)*d)``. Its cost scales as queries x keys x
+    channels.
+    """
+    scores = scale(attention_scores(q, k, n_heads), 1.0 / math.sqrt(q.shape[1] // n_heads))
+    return attention_mix(softmax_rows(scores), v, n_heads)
 
 
 def feed_forward(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import instrument
 from .checkpoint import load_tensors, save_tensors
 from .construct import TokenSet, build_incidence
 from .messaging import (
@@ -42,6 +41,7 @@ from .tensor import (
     mean_rows,
     pad_spatial,
     reshape,
+    section,
     tokens_to_grid,
 )
 
@@ -321,9 +321,9 @@ def block_forward(
     k = min(stage.k_neighbors, n)
     cls = compute_class_token(tokens, bp.cls_proj)
     scored = TokenSet(nodes=v, class_token=cls, grid=grid)
-    with instrument.section("construction"):
+    with section("construction"):
         h = build_incidence(scored, cfg.construct_algo, ne, k, seed=seed, distance=cfg.distance)
-    with instrument.section("messaging"):
+    with section("messaging"):
         e1 = hga_n2e(v, h, bp.n2e, drop=drop)
         if cfg.messaging_mode == "single":
             upd = broadcast_e2n(e1, h)
@@ -349,13 +349,13 @@ def network_forward(
     stages = cfg.stages()
     tokens: TokenSet | None = None
     for si, (stage, sp) in enumerate(zip(stages, params.stages)):
-        with instrument.section("embed"):
+        with section("embed"):
             tokens = patch_embed(x, sp.embed)
         for bi, bp in enumerate(sp.blocks):
             tokens = block_forward(tokens, stage, bp, cfg, drop=drop, seed=1000 * si + bi, conv_ffn=conv_ffn)
         if si < len(stages) - 1:
             x = tokens_to_grid(tokens.nodes, tokens.grid)
-    with instrument.section("head"):
+    with section("head"):
         pooled = mean_rows(tokens.nodes)
         logits = linear(apply_norm(pooled, params.head.norm), params.head.fc)
     return reshape(logits, (cfg.n_classes,))

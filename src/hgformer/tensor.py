@@ -15,6 +15,8 @@ scores and the value mixing, head ``h`` owning columns ``[h*d, (h+1)*d)``.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ __all__ = [
     "pad_spatial",
     "reshape",
     "scale",
+    "section",
     "softmax_rows",
     "sum_all",
     "tokens_to_grid",
@@ -79,16 +82,15 @@ class Tensor:
     updates happen between steps by rebinding ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.ascontiguousarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,8 +105,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -181,12 +182,13 @@ class Tape:
 
 
 class FlopCounter:
-    """Counts floating-point work of ops executed while active (nestable)."""
+    """The one recorder: flops of ops and wall seconds of :func:`section` blocks run while active (nestable)."""
 
-    __slots__ = ("total",)
+    __slots__ = ("total", "seconds")
 
     def __init__(self):
         self.total = 0
+        self.seconds: dict[str, float] = {}
 
     def __enter__(self) -> "FlopCounter":
         _flop_counters.append(self)
@@ -201,6 +203,21 @@ class FlopCounter:
 def add_flops(n: int) -> None:
     for c in _flop_counters:
         c.total += n
+
+
+@contextmanager
+def section(name: str):
+    """Add the block's wall time to ``seconds[name]`` of every active counter; with none active, read no clock."""
+    if not _flop_counters:
+        yield
+        return
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        dt = time.perf_counter() - t0
+        for c in _flop_counters:
+            c.seconds[name] = c.seconds.get(name, 0.0) + dt
 
 
 def _finite(data: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -38,8 +39,14 @@ class TrainConfig:
     early_stop_val_acc: float | None = None
 
     def __post_init__(self):
-        if self.base_lr < 0:
-            raise ConfigError("base_lr must be nonnegative")
+        if not 0 <= self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and nonnegative, got {self.base_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be nonnegative, got {self.warmup_epochs}")
+        if self.early_stop_val_acc is not None and math.isnan(self.early_stop_val_acc):
+            raise ConfigError("early_stop_val_acc must be a number, got nan")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:

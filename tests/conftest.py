@@ -1,6 +1,10 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import hgformer.messaging as messaging
 
 settings.register_profile(
     "hgf",
@@ -37,3 +41,25 @@ def numeric_grad(f, tensor, h=1e-5):
         flat[i] = orig
         gf[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+@contextmanager
+def attention_audit():
+    """Record ``(max |row sum - 1|, n_rows)`` of every attention softmax run inside the block.
+
+    Wraps ``hgformer.messaging.softmax_rows``, the op the attention core looks
+    up, so each call records once over the stacked rows of all its heads.
+    """
+    audit: list[tuple[float, int]] = []
+    softmax = messaging.softmax_rows
+
+    def recorded(x):
+        w = softmax(x)
+        audit.append((float(np.abs(w.data.sum(axis=1) - 1.0).max()), w.shape[0]))
+        return w
+
+    messaging.softmax_rows = recorded
+    try:
+        yield audit
+    finally:
+        messaging.softmax_rows = softmax

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 import hgformer as hg
-from hgformer import instrument
 from hgformer.ablation import ablation_arms, run_ablation
 from hgformer.bench import attention_complexity_scan
 from hgformer.cli import main as cli_main
@@ -20,6 +19,7 @@ from hgformer.model import HGFormer, block_forward, init_network_params, variant
 from hgformer.tensor import Tensor
 from hgformer.training import TrainConfig, train
 
+from conftest import attention_audit
 from test_construct import oracle_cs_knn
 from test_messaging import dense_e2n, dense_n2e, random_incidence
 
@@ -106,7 +106,7 @@ def test_degenerate_closed_forms():
 def test_attention_normalization_across_micro_forward():
     m = HGFormer(variant("Micro", n_classes=4), seed=0)
     img = np.random.default_rng(0).uniform(0, 1, (3, 32, 32)).astype(np.float32)
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         m.forward(img)
     worst = max(dev for dev, _ in audit)
     rows = sum(r for _, r in audit)

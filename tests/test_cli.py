@@ -115,6 +115,35 @@ def test_zero_size_run_exits_1_with_one_line(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gradcheck", "--image-size", -8],
+        ["gradcheck", "--tol", -1],
+        ["gradcheck", "--tol", "nan"],
+        ["bench", "--image-size", -4],
+        ["bench", "--warmup-iters", -1],
+        ["train", "--warmup-epochs", -3],
+        ["train", "--weight-decay", -1],
+        ["train", "--weight-decay", "nan"],
+        ["train", "--lr", "inf"],
+        ["train", "--lr", "nan"],
+        ["train", "--early-stop-acc", "nan"],
+    ],
+    ids=[
+        "gradcheck-negative-size", "gradcheck-negative-tol", "gradcheck-nan-tol", "bench-negative-size",
+        "bench-negative-warmup", "train-negative-warmup", "train-negative-decay", "train-nan-decay",
+        "train-inf-lr", "train-nan-lr", "train-nan-early-stop",
+    ],
+)
+def test_malformed_number_exits_1_with_one_line(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shape", [(3, 0, 0), (3, 0, 16), (0, 16, 16)])
 def test_forward_empty_input_image_exits_1_with_one_line(tmp_path, capsys, shape):
     image = tmp_path / "empty.ckpt"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erf
 
-from hgformer import instrument
 from hgformer.construct import IncidenceMatrix, TokenSet, cs_knn
 from hgformer.messaging import (
     DropPath,
@@ -18,25 +17,22 @@ from hgformer.messaging import (
     hgconv_e2n,
     hgconv_n2e,
     apply_norm,
+    attention_core,
     init_hga_params,
     linear,
     multi_head_attention,
-    topo_attention,
 )
 from hgformer.tensor import (
+    FlopCounter,
     Tape,
     Tensor,
     add,
-    attention_mix,
-    attention_scores,
     cross_entropy_logits,
     mul,
-    scale,
-    softmax_rows,
     sum_all,
 )
 
-from conftest import numeric_grad, rel_err_max
+from conftest import attention_audit, numeric_grad, rel_err_max
 
 
 def t64(arr):
@@ -149,7 +145,7 @@ def test_single_key_attention_weight_is_one(rng):
     p = params64(rng, c)
     q_src = t64(rng.uniform(-1, 1, (3, c)))
     kv = t64(rng.uniform(-1, 1, (1, c)))
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         out = multi_head_attention(q_src, kv, p)
     assert all(dev < 1e-12 for dev, _ in audit)
     # pre-projection content is exactly the single value row; check by making
@@ -184,7 +180,7 @@ def test_zero_query_key_weights_give_uniform_attention(rng):
 def test_attention_rows_sum_to_one(seed, m, n):
     rng = np.random.default_rng(seed)
     p = init_hga_params(8, 2, rng, dtype=np.float64)
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         multi_head_attention(t64(rng.uniform(-1, 1, (m, 8))), t64(rng.uniform(-1, 1, (n, 8))), p)
     assert audit, "no attention recorded"
     assert max(dev for dev, _ in audit) <= 1e-6
@@ -219,7 +215,7 @@ def test_hga_e2n_output_shape_and_single_edge(rng):
     p = params64(rng, c, with_ffn=True)
     h = IncidenceMatrix(n_nodes=n, members=np.arange(n)[None, :], centers=np.array([0]))
     e = t64(rng.uniform(-1, 1, (1, c)))
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         out = hga_e2n(e, h, (2, 3), p)
     assert out.shape == (n, c)
     assert max(dev for dev, _ in audit) < 1e-12  # every node attends to the one edge token
@@ -333,10 +329,10 @@ def test_drop_path_rescales_kept_branch(rng):
 
 def _core_count(m, n, c, heads):
     rng = np.random.default_rng(0)
-    p = init_hga_params(c, heads, rng)
-    with instrument.collect_core_flops() as rec:
-        topo_attention(Tensor(rng.standard_normal((m, c))), Tensor(rng.standard_normal((n, c))), p)
-    return sum(rec)
+    q, k, v = (Tensor(rng.standard_normal((rows, c))) for rows in (m, n, n))
+    with FlopCounter() as counter:
+        attention_core(q, k, v, heads)
+    return counter.total
 
 
 def test_attention_core_flops_linear_in_each_size():
@@ -404,16 +400,16 @@ def test_stacked_heads_byte_equal_to_per_head_loop(nq, nk, c, heads, dtype):
     kv_n = apply_norm(kv_src, p.norm_kv)
     q_all, k_all, v_all = linear(apply_norm(query_src, p.norm_q), p.q).data, linear(kv_n, p.k).data, linear(kv_n, p.v).data
     ref_out, ref_grads = per_head_reference(q_all, k_all, v_all, heads, g_out)
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         out = multi_head_attention(query_src, kv_src, p)
     assert out.data.tobytes() == (ref_out @ p.out.weight.data + p.out.bias.data).tobytes()
-    assert [n_rows for _, n_rows in audit] == [nq] * heads
+    assert [n_rows for _, n_rows in audit] == [heads * nq]
 
-    # the stacked ops alone, for the gradients of q_all, k_all and v_all
+    # the attention core alone, for the gradients of q_all, k_all and v_all
     leaves = [Tensor(x, requires_grad=True) for x in (q_all, k_all, v_all)]
     q, k, v = leaves
     with Tape() as tape:
-        mixed = attention_mix(softmax_rows(scale(attention_scores(q, k, heads), 1.0 / math.sqrt(c // heads))), v, heads)
+        mixed = attention_core(q, k, v, heads)
         loss = sum_all(mul(mixed, Tensor(g_out)))
     tape.backward(loss)
     assert mixed.data.tobytes() == ref_out.tobytes()

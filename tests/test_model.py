@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 import hgformer.model as model_mod
-from hgformer import instrument
 from hgformer.construct import TokenSet
 from hgformer.model import (
     HGFormer,
@@ -21,7 +20,7 @@ from hgformer.model import (
 from hgformer.messaging import DropPath, LinearParams
 from hgformer.tensor import ConfigError, Tape, Tensor, cross_entropy_logits, mul, sum_all
 
-from conftest import numeric_grad, rel_err_max
+from conftest import attention_audit, numeric_grad, rel_err_max
 
 
 def micro(n_classes=4, **kw):
@@ -338,7 +337,7 @@ def test_micro_training_forward_records_at_most_167_ops(rng):
 def test_attention_rows_audited_across_full_forward(rng):
     m = HGFormer(micro(), seed=0)
     img = rng.uniform(0, 1, (3, 32, 32)).astype(np.float32)
-    with instrument.attention_audit() as audit:
+    with attention_audit() as audit:
         m.forward(img)
     assert len(audit) >= 8  # two attentions per block, four blocks
     assert max(dev for dev, _ in audit) <= 1e-6

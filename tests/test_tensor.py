@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hgformer.construct import IncidenceMatrix
+from hgformer.model import HGFormer, variant
 from hgformer.tensor import (
     ConfigError,
+    FlopCounter,
     NumericalError,
     ShapeError,
     Tape,
@@ -29,6 +32,7 @@ from hgformer.tensor import (
     pad_spatial,
     reshape,
     scale,
+    section,
     softmax_rows,
     sum_all,
     tokens_to_grid,
@@ -285,6 +289,48 @@ def test_ops_outside_tape_do_not_record():
         pass
     sum_all(x)
     assert len(tape) == 0
+
+
+# --------------------------------------------------------------------------
+# recorder
+
+
+def test_nested_counters_see_only_what_ran_inside(monkeypatch):
+    # each clock read takes the next reading, so every section's length is known
+    clock = iter([0.0, 2.0, 10.0, 13.0, 20.0, 24.0])
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    a = Tensor(np.ones((2, 3)))
+    scale(a, 2.0)
+    with FlopCounter() as outer:
+        with section("x"):
+            scale(a, 2.0)
+        with FlopCounter() as inner:
+            with section("y"):
+                add(a, a)
+                mul(a, a)
+        with section("y"):
+            sum_all(a)
+    scale(a, 2.0)
+    with section("z"):  # no counter active: reads no clock
+        pass
+    assert inner.total == 12 and inner.seconds == {"y": 3.0}
+    assert outer.total == 24 and outer.seconds == {"x": 2.0, "y": 7.0}
+
+
+def test_forward_reads_no_clock_without_a_counter(monkeypatch):
+    m = HGFormer(variant("Micro", n_classes=4), seed=0)
+    img = np.random.default_rng(0).uniform(0, 1, (3, 32, 32)).astype(np.float32)
+
+    def no_clock():
+        raise AssertionError("clock read with no counter active")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(time, "perf_counter", no_clock)
+        m.forward(img)
+    with FlopCounter() as counter:
+        m.forward(img)
+    assert sorted(counter.seconds) == ["construction", "embed", "head", "messaging"]
+    assert all(s > 0 for s in counter.seconds.values())
 
 
 # --------------------------------------------------------------------------
