@@ -6,7 +6,6 @@ from .checkpoint import load_tensors, save_tensors
 from .construct import (
     IncidenceMatrix,
     TokenSet,
-    baseline_construct,
     build_incidence,
     cs_knn,
     knn_assign,
@@ -19,7 +18,6 @@ from .gradcheck import GradCheckReport, grad_check_suite
 from .messaging import (
     DropPath,
     HgaParams,
-    broadcast_e2n,
     hga_e2n,
     hga_n2e,
     hgconv_e2n,

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .construct import CONSTRUCT_ALGOS, DISTANCE_KINDS
 from .data import ToyDataset
 from .model import NetworkConfig, single_stage_variant, vanilla_attention_variant
 from .tensor import ConfigError
@@ -26,9 +27,9 @@ _FACTOR_KEYS = {
 def ablation_arms(group: str, base: NetworkConfig) -> list[tuple[str, NetworkConfig]]:
     """The configured arms of one factor group, derived from a base config."""
     if group == "construction":
-        return [(algo, replace(base, construct_algo=algo)) for algo in ("cs_knn", "knn", "kmeans", "dpc_knn")]
+        return [(algo, replace(base, construct_algo=algo)) for algo in CONSTRUCT_ALGOS]
     if group == "distance":
-        return [(d, replace(base, distance=d)) for d in ("dot", "cosine", "euclidean", "softmax")]
+        return [(d, replace(base, distance=d)) for d in DISTANCE_KINDS]
     if group == "architecture":
         return [
             ("full", base),

@@ -18,10 +18,11 @@ import sys
 
 import numpy as np
 
-from .ablation import ablation_arms, run_ablation
+from .ablation import ARM_GROUPS, ablation_arms, run_ablation
 from .bench import attention_complexity_scan, bench_throughput, construction_complexity_scan
 from .checkpoint import load_tensors
 from .construct import (
+    CONSTRUCT_ALGOS,
     DISTANCE_KINDS,
     TokenSet,
     build_incidence,
@@ -34,7 +35,7 @@ from .model import HGFormer, variant
 from .tensor import ConfigError, NumericalError, ShapeError, Tensor
 from .training import TrainConfig, train
 
-_ALGO_FLAGS = ("cs-knn", "knn", "kmeans", "dpc-knn")
+_ALGO_FLAGS = tuple(algo.replace("_", "-") for algo in CONSTRUCT_ALGOS)
 _VARIANT_FLAGS = ("T", "S", "B", "Micro")
 
 
@@ -266,7 +267,7 @@ def build_parser() -> CliParser:
     )
     p.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"), default=None, help="token grid (synthetic default 8 8)")
     p.add_argument("--channels", type=int, default=16, help="synthetic token channels")
-    p.add_argument("--ne", type=int, required=True, help="number of hyperedges")
+    p.add_argument("--ne", type=int, required=True, help="number of hyperedges (knn ignores it and makes one per node)")
     p.add_argument("--k", type=int, required=True, help="members per hyperedge")
     p.add_argument("--algo", choices=_ALGO_FLAGS, default="cs-knn", help="construction algorithm")
     p.add_argument("--distance", choices=DISTANCE_KINDS, default="dot", help="similarity function")
@@ -301,7 +302,7 @@ def build_parser() -> CliParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="train ablation arms and tabulate accuracy")
-    p.add_argument("--arms", choices=("construction", "distance", "architecture"), required=True, help="factor to ablate")
+    p.add_argument("--arms", choices=ARM_GROUPS, required=True, help="factor to ablate")
     p.add_argument("--seeds", type=int, default=3, help="seeds per arm")
     _add_train_flags(p, epochs=15, samples=50, batch_size=16)
     p.add_argument("--out", required=True, help="output directory")

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from .tensor import ConfigError, NumericalError, Tensor, add_flops
 
-DISTANCE_KINDS = ("dot", "cosine", "euclidean", "softmax")
-BASELINE_ALGOS = ("knn", "kmeans", "dpc_knn")
+DISTANCE_KINDS = ("dot", "cosine", "euclidean")
+CONSTRUCT_ALGOS = ("cs_knn", "knn", "kmeans", "dpc_knn")
 
 KMEANS_ITERS = 20
 
@@ -105,10 +105,6 @@ class IncidenceMatrix:
         return np.bincount(self.members.ravel(), minlength=self.n_nodes).astype(np.int64)
 
     @cached_property
-    def d_e(self) -> np.ndarray:
-        return np.full(self.n_edges, self.k, dtype=np.int64)
-
-    @cached_property
     def sparse(self) -> sp.csc_array:
         """H as a sparse {0,1} matrix of shape (N, Ne).
 
@@ -140,20 +136,15 @@ def similarity(refs: np.ndarray, tokens: np.ndarray, kind: str = "dot") -> np.nd
     """Pairwise similarity of reference vectors ``(R,C)`` against tokens ``(N,C)``.
 
     Larger means nearer for every kind. ``dot`` is the scaled dot product
-    ``(r . x) / sqrt(C)``; ``softmax`` normalizes those rows (a monotone map,
-    so rankings match ``dot``); ``euclidean`` is the negated distance.
+    ``(r . x) / sqrt(C)``; ``cosine`` divides out both norms; ``euclidean`` is
+    the negated distance.
     """
     refs = np.asarray(refs)
     tokens = np.asarray(tokens)
     c = tokens.shape[1]
     add_flops(2 * refs.shape[0] * tokens.shape[0] * c)
-    if kind in ("dot", "softmax"):
-        s = (refs @ tokens.T) / np.sqrt(c)
-        if kind == "softmax":
-            z = s - s.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            s = e / e.sum(axis=1, keepdims=True)
-        return s
+    if kind == "dot":
+        return (refs @ tokens.T) / np.sqrt(c)
     if kind == "cosine":
         rn = np.linalg.norm(refs, axis=1, keepdims=True)
         tn = np.linalg.norm(tokens, axis=1, keepdims=True)
@@ -241,7 +232,7 @@ def cs_knn(tokens: TokenSet, n_edges: int, k: int, distance: str = "dot") -> Inc
 
 
 # --------------------------------------------------------------------------
-# baseline constructors
+# construction
 
 
 def _lloyd(points: np.ndarray, n_clusters: int, rng: np.random.Generator, iters: int = KMEANS_ITERS) -> np.ndarray:
@@ -283,47 +274,6 @@ def _dpc_centers(points: np.ndarray, n_edges: int, k: int) -> np.ndarray:
     return np.sort(np.argsort(-peak, kind="stable")[:n_edges]).astype(np.int64)
 
 
-def baseline_construct(
-    tokens: TokenSet,
-    algo: str,
-    n_edges: int,
-    k: int,
-    seed: int = 0,
-    distance: str = "dot",
-) -> IncidenceMatrix:
-    """Reference constructors for ablation arms: KNN, K-Means, DPC-KNN.
-
-    KNN makes every node the center of its own k-neighborhood (the hyperedge
-    count is forced to N). K-Means runs Lloyd for a fixed iteration budget and
-    gathers the k nearest nodes per centroid. DPC-KNN picks density peaks as
-    centers and then assigns like CS-KNN. All three are deterministic for a
-    fixed seed.
-    """
-    n = tokens.n_tokens
-    if not 1 <= k <= n:
-        raise ConfigError(f"need 1 <= k <= {n}, got {k}")
-    pts = tokens.nodes.data.astype(np.float64)
-    if algo == "knn":
-        centers = np.arange(n, dtype=np.int64)
-        return knn_assign(tokens, centers, k, distance)
-    if algo == "kmeans":
-        if not 1 <= n_edges <= n:
-            raise ConfigError(f"need 1 <= n_edges <= {n}, got {n_edges}")
-        rng = np.random.default_rng(seed)
-        centroids = _lloyd(pts, n_edges, rng)
-        sims = similarity(centroids, pts, distance)
-        # nearest node to each centroid doubles as the column's center; it is
-        # rank 0 in its own row, so force-inclusion is automatic
-        centers = np.argmax(sims, axis=1).astype(np.int64)
-        return IncidenceMatrix(n_nodes=n, members=_rank_members(sims, centers, k), centers=centers)
-    if algo == "dpc_knn":
-        if not 1 <= n_edges <= n:
-            raise ConfigError(f"need 1 <= n_edges <= {n}, got {n_edges}")
-        centers = _dpc_centers(pts, n_edges, k)
-        return knn_assign(tokens, centers, k, distance)
-    raise ConfigError(f"unknown construction algo {algo!r}; expected one of {BASELINE_ALGOS}")
-
-
 def build_incidence(
     tokens: TokenSet,
     algo: str,
@@ -332,10 +282,35 @@ def build_incidence(
     seed: int = 0,
     distance: str = "dot",
 ) -> IncidenceMatrix:
-    """Dispatch over all construction algorithms, CS-KNN included."""
+    """Construct a hypergraph with one of :data:`CONSTRUCT_ALGOS`.
+
+    CS-KNN is the model's constructor; the rest are reference arms for the
+    ablations. KNN makes every node the center of its own k-neighborhood, so
+    it ignores ``n_edges`` and makes N hyperedges. K-Means runs Lloyd for a
+    fixed iteration budget and gathers the k nearest nodes per centroid.
+    DPC-KNN picks density peaks as centers and then assigns like CS-KNN.
+    All are deterministic for a fixed seed.
+    """
+    n = tokens.n_tokens
+    if algo not in CONSTRUCT_ALGOS:
+        raise ConfigError(f"unknown construction algo {algo!r}; expected one of {CONSTRUCT_ALGOS}")
+    if not 1 <= n_edges <= n:
+        raise ConfigError(f"need 1 <= n_edges <= {n}, got {n_edges}")
     if algo == "cs_knn":
         return cs_knn(tokens, n_edges, k, distance)
-    return baseline_construct(tokens, algo, n_edges, k, seed=seed, distance=distance)
+    if algo == "knn":
+        return knn_assign(tokens, np.arange(n, dtype=np.int64), k, distance)
+    pts = tokens.nodes.data.astype(np.float64)
+    if algo == "dpc_knn":
+        return knn_assign(tokens, _dpc_centers(pts, n_edges, k), k, distance)
+    if not 1 <= k <= n:
+        raise ConfigError(f"need 1 <= k <= {n}, got {k}")
+    centroids = _lloyd(pts, n_edges, np.random.default_rng(seed))
+    sims = similarity(centroids, pts, distance)
+    # nearest node to each centroid doubles as the column's center; it is
+    # rank 0 in its own row, so force-inclusion is automatic
+    centers = np.argmax(sims, axis=1).astype(np.int64)
+    return IncidenceMatrix(n_nodes=n, members=_rank_members(sims, centers, k), centers=centers)
 
 
 # --------------------------------------------------------------------------

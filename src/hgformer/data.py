@@ -8,7 +8,8 @@ spec's seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +59,8 @@ class ToyDatasetSpec:
             raise ConfigError(f"n_classes must lie in [2, {len(_MASKS) * len(_COLORS)}]")
         if self.image_size < CELL:
             raise ConfigError(f"image_size must be at least {CELL}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ def grad_check_suite(
     n_classes: int = 2,
     batch: int = 2,
     seed: int = 7,
-    h: float = DEFAULT_STEP,
     tol: float = DEFAULT_TOL,
     entry_probes: int = 2,
 ) -> GradCheckReport:
@@ -90,6 +89,7 @@ def grad_check_suite(
         loss = scale(acc, 1.0 / batch)
     tape.backward(loss)
 
+    h = DEFAULT_STEP
     probe_rng = np.random.default_rng(seed + 1)
     per_param: dict[str, float] = {}
     for name, p in model.named_parameters().items():

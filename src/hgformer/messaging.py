@@ -160,31 +160,22 @@ def init_hga_params(
 # hypergraph convolution
 
 
-def hgconv_n2e(v: Tensor, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> Tensor:
+def hgconv_n2e(v: Tensor, h: IncidenceMatrix, w_conv: Tensor) -> Tensor:
     """Predict hyperedge tokens: per-edge mean of member nodes, linear map, GELU.
 
     Since every hyperedge has exactly K members, the inverse-degree-weighted
     aggregation is exactly the member mean.
     """
-    pooled = edge_gather_mean(v, h)
-    e = matmul(pooled, w_conv)
-    return gelu(e) if activation else e
+    return gelu(matmul(edge_gather_mean(v, h), w_conv))
 
 
-def hgconv_e2n(e: Tensor, h: IncidenceMatrix, w_conv: Tensor, activation: bool = True) -> Tensor:
+def hgconv_e2n(e: Tensor, h: IncidenceMatrix, w_conv: Tensor) -> Tensor:
     """Predict node tokens: per-node mean over incident hyperedges, linear map, GELU.
 
     Nodes covered by no hyperedge receive the zero vector before the linear
     map (the inverse of a zero degree is taken as zero).
     """
-    agg = node_scatter_mean(e, h)
-    y = matmul(agg, w_conv)
-    return gelu(y) if activation else y
-
-
-def broadcast_e2n(e: Tensor, h: IncidenceMatrix) -> Tensor:
-    """Plain mean broadcast of hyperedge tokens back to their member nodes."""
-    return node_scatter_mean(e, h)
+    return gelu(matmul(node_scatter_mean(e, h), w_conv))
 
 
 # --------------------------------------------------------------------------
@@ -219,14 +210,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     return attention_mix(softmax_rows(scores), v, n_heads)
 
 
-def feed_forward(
-    x: Tensor,
-    p: FeedForwardParams,
-    grid: tuple[int, int] | None = None,
-    conv_enabled: bool = True,
-) -> Tensor:
+def feed_forward(x: Tensor, p: FeedForwardParams, grid: tuple[int, int] | None = None) -> Tensor:
+    """Pre-normalized two-layer MLP; the depthwise conv runs exactly when ``p.dw_kernel`` is set."""
     y = linear(apply_norm(x, p.norm), p.fc1)
-    if p.dw_kernel is not None and conv_enabled:
+    if p.dw_kernel is not None:
         if grid is None:
             raise ConfigError("convolutional feedforward needs the token grid")
         img = tokens_to_grid(y, grid)
@@ -240,7 +227,6 @@ def topo_attention(
     kv_src: Tensor,
     p: HgaParams,
     grid: tuple[int, int] | None = None,
-    conv_enabled: bool = True,
     drop: DropPath = NO_DROP,
 ) -> Tensor:
     """Attention refinement around ``query_src`` with pre-norm and residuals.
@@ -250,7 +236,7 @@ def topo_attention(
     """
     x = add(query_src, drop(multi_head_attention(query_src, kv_src, p)))
     if p.ffn is not None:
-        x = add(x, drop(feed_forward(x, p.ffn, grid=grid, conv_enabled=conv_enabled)))
+        x = add(x, drop(feed_forward(x, p.ffn, grid=grid)))
     return x
 
 
@@ -268,21 +254,14 @@ def hga_n2e(v: Tensor, h: IncidenceMatrix, p: HgaParams, drop: DropPath = NO_DRO
     return topo_attention(e0, v, p, drop=drop)
 
 
-def hga_e2n(
-    e: Tensor,
-    h: IncidenceMatrix,
-    grid: tuple[int, int],
-    p: HgaParams,
-    drop: DropPath = NO_DROP,
-    conv_enabled: bool = True,
-) -> Tensor:
+def hga_e2n(e: Tensor, h: IncidenceMatrix, grid: tuple[int, int], p: HgaParams, drop: DropPath = NO_DROP) -> Tensor:
     """Hyperedge-to-node messaging with the convolutional feedforward.
 
     Tokens are reshaped onto their grid for the depthwise convolution inside
-    the feedforward; ``conv_enabled=False`` swaps in the purely linear path
-    (used by permutation-equivariance checks).
+    the feedforward; parameters without a ``dw_kernel`` run the purely
+    linear feedforward instead.
     """
     if grid[0] * grid[1] != h.n_nodes:
         raise ConfigError(f"grid {grid} does not cover {h.n_nodes} nodes")
     v0 = hgconv_e2n(e, h, p.w_conv)
-    return topo_attention(v0, e, p, grid=grid, conv_enabled=conv_enabled, drop=drop)
+    return topo_attention(v0, e, p, grid=grid, drop=drop)

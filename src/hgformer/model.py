@@ -25,7 +25,6 @@ from .messaging import (
     LinearParams,
     NormParams,
     apply_norm,
-    broadcast_e2n,
     hga_e2n,
     hga_n2e,
     init_hga_params,
@@ -39,6 +38,7 @@ from .tensor import (
     extract_patches,
     matmul,
     mean_rows,
+    node_scatter_mean,
     pad_spatial,
     reshape,
     section,
@@ -298,7 +298,6 @@ def block_forward(
     cfg: NetworkConfig,
     drop: DropPath = NO_DROP,
     seed: int = 0,
-    conv_ffn: bool = True,
 ) -> TokenSet:
     """One messaging block; preserves token count and channels.
 
@@ -313,7 +312,7 @@ def block_forward(
         # and no incidence matrix is ever built; the sublayer residuals
         # already carry the identity path.
         x = topo_attention(v, v, bp.n2e, drop=drop)
-        x = topo_attention(x, x, bp.e2n, grid=grid, conv_enabled=conv_ffn, drop=drop)
+        x = topo_attention(x, x, bp.e2n, grid=grid, drop=drop)
         return TokenSet.from_nodes(x, grid)
 
     n = v.shape[0]
@@ -326,9 +325,9 @@ def block_forward(
     with section("messaging"):
         e1 = hga_n2e(v, h, bp.n2e, drop=drop)
         if cfg.messaging_mode == "single":
-            upd = broadcast_e2n(e1, h)
+            upd = node_scatter_mean(e1, h)
         else:
-            upd = hga_e2n(e1, h, grid, bp.e2n, drop=drop, conv_enabled=conv_ffn)
+            upd = hga_e2n(e1, h, grid, bp.e2n, drop=drop)
         out = add(v, drop(upd))
     return TokenSet(nodes=out, class_token=cls, grid=grid)
 
@@ -339,7 +338,6 @@ def network_forward(
     params: NetworkParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    conv_ffn: bool = True,
 ) -> Tensor:
     """Full pyramid: per stage, embed then blocks; pooled head at the end."""
     x = image if isinstance(image, Tensor) else Tensor(image)
@@ -352,7 +350,7 @@ def network_forward(
         with section("embed"):
             tokens = patch_embed(x, sp.embed)
         for bi, bp in enumerate(sp.blocks):
-            tokens = block_forward(tokens, stage, bp, cfg, drop=drop, seed=1000 * si + bi, conv_ffn=conv_ffn)
+            tokens = block_forward(tokens, stage, bp, cfg, drop=drop, seed=1000 * si + bi)
         if si < len(stages) - 1:
             x = tokens_to_grid(tokens.nodes, tokens.grid)
     with section("head"):
@@ -378,14 +376,8 @@ class HGFormer:
     def parameter_count(self) -> int:
         return sum(p.size for p in self._named.values())
 
-    def forward(
-        self,
-        image,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-        conv_ffn: bool = True,
-    ) -> Tensor:
-        return network_forward(image, self.config, self.params, training=training, rng=rng, conv_ffn=conv_ffn)
+    def forward(self, image, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        return network_forward(image, self.config, self.params, training=training, rng=rng)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self._named.items()}

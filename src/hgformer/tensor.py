@@ -11,13 +11,17 @@ bias-style patterns (vector against matrix rows or columns) so every backward
 rule stays auditable; :func:`matmul` takes such a bias, so an affine map is
 one op. Multi-head attention runs all heads of a call as one op each for the
 scores and the value mixing, head ``h`` owning columns ``[h*d, (h+1)*d)``.
+
+The model never calls :func:`mul` or :func:`sum_all`. The engine keeps them
+because the gradient tests build their scalar losses from them, and ``mul``
+builds the overflow in ``test_non_finite_output_raises``.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.special import erf
@@ -54,7 +58,6 @@ __all__ = [
     "softmax_rows",
     "sum_all",
     "tokens_to_grid",
-    "zero_grads",
 ]
 
 
@@ -77,8 +80,8 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 class Tensor:
     """Dense row-major float32/float64 array, optionally tracked for autodiff.
 
-    ``grad`` accumulates across backward passes until :func:`zero_grads`
-    resets it. Tensors produced by ops are treated as immutable; parameter
+    ``grad`` accumulates across backward passes until the optimizer's
+    ``zero_grad`` resets it to ``None``. Tensors produced by ops are treated as immutable; parameter
     updates happen between steps by rebinding ``data``.
     """
 
@@ -106,11 +109,6 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training loop: decoupled-weight-decay Adam, warmup + cosine schedule.
+"""Training loop: decoupled-weight-decay Adam, linear warmup then cosine decay.
 
 Each image builds its own hypergraph, so a batch runs one sample at a time,
 each on its own tape, and every backward pass adds into ``Tensor.grad`` in
@@ -34,7 +34,6 @@ class TrainConfig:
     base_lr: float = 1e-3
     weight_decay: float = 0.05
     warmup_epochs: int = 2
-    schedule: str = "cosine"
     seed: int = 0
     early_stop_val_acc: float | None = None
 
@@ -51,8 +50,6 @@ class TrainConfig:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.schedule != "cosine":
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ def tiny_setup():
 def test_arm_groups_have_expected_members():
     base = variant("Micro", n_classes=2)
     assert [n for n, _ in ablation_arms("construction", base)] == ["cs_knn", "knn", "kmeans", "dpc_knn"]
-    assert [n for n, _ in ablation_arms("distance", base)] == ["dot", "cosine", "euclidean", "softmax"]
+    assert [n for n, _ in ablation_arms("distance", base)] == ["dot", "cosine", "euclidean"]
     assert [n for n, _ in ablation_arms("architecture", base)] == ["full", "vanilla_attention", "single_stage"]
     with pytest.raises(ConfigError):
         ablation_arms("widths", base)

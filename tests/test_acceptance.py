@@ -4,6 +4,7 @@ Run with ``pytest -v -s tests/test_acceptance.py``. The slow criteria (toy
 learning, ablation orderings) together take several minutes on 2-4 CPU cores.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from hgformer.construct import IncidenceMatrix, TokenSet, cs_knn
 from hgformer.gradcheck import grad_check_suite
 from hgformer.messaging import hgconv_e2n, hgconv_n2e
 from hgformer.model import HGFormer, block_forward, init_network_params, variant
-from hgformer.tensor import Tensor
+from hgformer.tensor import Tensor, edge_gather_mean, matmul
 from hgformer.training import TrainConfig, train
 
 from conftest import attention_audit
@@ -95,10 +96,10 @@ def test_degenerate_closed_forms():
     v = Tensor(rng.uniform(-1, 1, (n, c)), dtype=np.float64)
     eye = Tensor(np.eye(c), dtype=np.float64)
     single = IncidenceMatrix(n_nodes=n, members=np.arange(n)[None, :], centers=np.array([0]))
-    e1 = hgconv_n2e(v, single, eye, activation=False)
+    e1 = matmul(edge_gather_mean(v, single), eye)
     dev_mean = float(np.abs(e1.data - v.data.mean(axis=0)).max())
     ident = IncidenceMatrix(n_nodes=n, members=np.arange(n)[:, None], centers=np.arange(n))
-    e2 = hgconv_n2e(v, ident, eye, activation=False)
+    e2 = matmul(edge_gather_mean(v, ident), eye)
     dev_ident = float(np.abs(e2.data - v.data).max())
     report("degenerate-closed-forms", dev_mean < 1e-6 and dev_ident < 1e-6, f"mean dev {dev_mean:.2e}, identity dev {dev_ident:.2e}")
 
@@ -119,12 +120,15 @@ def test_permutation_equivariance_block():
     params = init_network_params(cfg, seed=0, dtype=np.float64)
     stage = cfg.stages()[0]
     bp = params.stages[0].blocks[0]
+    # without its depthwise kernel the e2n feedforward is linear per token
+    ffn = dataclasses.replace(bp.e2n.ffn, dw_kernel=None, dw_bias=None)
+    bp = dataclasses.replace(bp, e2n=dataclasses.replace(bp.e2n, ffn=ffn))
     n = 16
     nodes = rng.uniform(-1, 1, (n, stage.channels))
 
     def run(arr):
         ts = TokenSet.from_nodes(Tensor(arr, dtype=np.float64), (4, 4))
-        return block_forward(ts, stage, bp, cfg, conv_ffn=False).nodes.data
+        return block_forward(ts, stage, bp, cfg).nodes.data
 
     out = run(nodes)
     perm = rng.permutation(n)

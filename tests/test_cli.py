@@ -129,11 +129,13 @@ def test_zero_size_run_exits_1_with_one_line(tmp_path, capsys, args):
         ["train", "--lr", "inf"],
         ["train", "--lr", "nan"],
         ["train", "--early-stop-acc", "nan"],
+        ["train", "--noise-std", "nan", "--epochs", 1, "--samples-per-class", 8],
+        ["train", "--noise-std", "inf", "--epochs", 1, "--samples-per-class", 8],
     ],
     ids=[
         "gradcheck-negative-size", "gradcheck-negative-tol", "gradcheck-nan-tol", "bench-negative-size",
         "bench-negative-warmup", "train-negative-warmup", "train-negative-decay", "train-nan-decay",
-        "train-inf-lr", "train-nan-lr", "train-nan-early-stop",
+        "train-inf-lr", "train-nan-lr", "train-nan-early-stop", "train-nan-noise", "train-inf-noise",
     ],
 )
 def test_malformed_number_exits_1_with_one_line(tmp_path, capsys, args):
@@ -169,6 +171,22 @@ def test_topology_bad_grid_or_channels_exits_1_with_one_line(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["cs-knn", "knn", "kmeans", "dpc-knn"])
+@pytest.mark.parametrize("ne", [-5, 0, 65])
+def test_topology_out_of_range_ne_exits_1_with_one_line(tmp_path, capsys, algo, ne):
+    out = tmp_path / "x.json"
+    assert run(["topology", "--algo", algo, "--ne", ne, "--k", 4, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need 1 <= n_edges <= 64, got {ne}\n"
+    assert not out.exists()
+
+
+def test_topology_softmax_distance_exits_1(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["topology", "--ne", 8, "--k", 4, "--distance", "softmax", "--out", tmp_path / "x.json"])
+    assert exc.value.code == 1
 
 
 def test_topology_seeded_rerun_byte_identical(tmp_path):

@@ -9,7 +9,6 @@ from hgformer.construct import (
     IncidenceMatrix,
     TokenSet,
     _rank_members,
-    baseline_construct,
     build_incidence,
     cs_knn,
     knn_assign,
@@ -177,7 +176,7 @@ def test_four_token_derived_membership():
     npt.assert_array_equal(h.centers, [0, 2])
     npt.assert_array_equal(h.members, [[0, 2], [0, 2]])
     npt.assert_array_equal(h.d_v, [2, 0, 2, 0])
-    npt.assert_array_equal(h.d_e, [2, 2])
+    npt.assert_array_equal(h.dense().sum(axis=0), [2, 2])
 
 
 def test_cs_knn_identity_pattern():
@@ -187,7 +186,7 @@ def test_cs_knn_identity_pattern():
     assert sorted(h.members.ravel().tolist()) == [0, 1, 2, 3, 4]
     npt.assert_array_equal(h.members[:, 0], h.centers)
     npt.assert_array_equal(h.d_v, np.ones(5))
-    npt.assert_array_equal(h.d_e, np.ones(5))
+    npt.assert_array_equal(h.dense().sum(axis=0), np.ones(5))
 
 
 def test_cs_knn_single_edge_covers_everything():
@@ -259,24 +258,25 @@ def test_degree_double_counting(seed):
     k = int(rng.integers(1, min(n, 12) + 1))
     ts = make_tokens(rng.uniform(-1, 1, (n, 4)))
     h = cs_knn(ts, ne, k)
-    assert h.d_v.sum() == h.d_e.sum() == ne * k
-    assert (h.d_e == k).all()
+    edge_degrees = h.dense().sum(axis=0)
+    assert h.d_v.sum() == edge_degrees.sum() == ne * k
+    assert (edge_degrees == k).all()
 
 
 # --------------------------------------------------------------------------
-# baselines
+# build_incidence over every algorithm
 
 
 def test_knn_baseline_k1_is_identity_pattern(rng):
     ts = make_tokens(rng.uniform(-1, 1, (5, 3)))
-    h = baseline_construct(ts, "knn", n_edges=5, k=1, seed=0)
+    h = build_incidence(ts, "knn", n_edges=5, k=1, seed=0)
     npt.assert_array_equal(h.centers, np.arange(5))
     npt.assert_array_equal(h.members[:, 0], np.arange(5))
 
 
 def test_knn_baseline_forces_ne_to_n(rng):
     ts = make_tokens(rng.uniform(-1, 1, (6, 3)))
-    h = baseline_construct(ts, "knn", n_edges=2, k=3, seed=0)
+    h = build_incidence(ts, "knn", n_edges=2, k=3, seed=0)
     assert h.n_edges == 6
 
 
@@ -302,7 +302,7 @@ def test_kmeans_two_blobs_match_exhaustive_partition():
     blob_b = rng.normal(0.0, 0.05, (4, 2)) + np.array([5.0, 5.0])
     points = np.vstack([blob_a, blob_b])
     ts = make_tokens(points, grid=(2, 4))
-    h = baseline_construct(ts, "kmeans", n_edges=2, k=4, seed=0, distance="euclidean")
+    h = build_incidence(ts, "kmeans", n_edges=2, k=4, seed=0, distance="euclidean")
     got = sorted(tuple(sorted(row)) for row in h.members)
     want = sorted(tuple(g) for g in oracle_two_means(points))
     assert got == [tuple(w) for w in want]
@@ -314,7 +314,7 @@ def test_dpc_knn_picks_density_peaks():
         [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [5.0, 5.0], [5.1, 5.0], [5.0, 5.1], [50.0, -50.0]]
     )
     ts = make_tokens(pts, grid=(1, 7))
-    h = baseline_construct(ts, "dpc_knn", n_edges=2, k=3, seed=0, distance="euclidean")
+    h = build_incidence(ts, "dpc_knn", n_edges=2, k=3, seed=0, distance="euclidean")
     assert 6 not in h.centers
     assert {int(c) // 3 for c in h.centers} == {0, 1}
 
@@ -322,19 +322,20 @@ def test_dpc_knn_picks_density_peaks():
 def test_baseline_determinism_bit_for_bit(rng):
     ts = make_tokens(rng.uniform(-1, 1, (12, 4)), grid=(3, 4))
     for algo in ("knn", "kmeans", "dpc_knn"):
-        h1 = baseline_construct(ts, algo, n_edges=3, k=4, seed=9)
-        h2 = baseline_construct(ts, algo, n_edges=3, k=4, seed=9)
+        h1 = build_incidence(ts, algo, n_edges=3, k=4, seed=9)
+        h2 = build_incidence(ts, algo, n_edges=3, k=4, seed=9)
         assert h1.members.tobytes() == h2.members.tobytes()
         assert h1.centers.tobytes() == h2.centers.tobytes()
 
 
-def test_baseline_rejects_unknown_algo(rng):
+def test_unknown_algo_error_names_every_algorithm(rng):
     ts = make_tokens(rng.uniform(-1, 1, (4, 2)))
-    with pytest.raises(ConfigError):
-        baseline_construct(ts, "agglomerative", n_edges=2, k=2, seed=0)
+    with pytest.raises(ConfigError) as exc:
+        build_incidence(ts, "agglomerative", n_edges=2, k=2)
+    assert all(repr(algo) in str(exc.value) for algo in ("cs_knn", "knn", "kmeans", "dpc_knn"))
 
 
-@pytest.mark.parametrize("distance", ["dot", "cosine", "euclidean", "softmax"])
+@pytest.mark.parametrize("distance", ["dot", "cosine", "euclidean"])
 def test_distance_variants_keep_structural_invariants(distance, rng):
     nodes = rng.uniform(-1, 1, (20, 5))
     ts = make_tokens(nodes, grid=(4, 5))
@@ -344,14 +345,6 @@ def test_distance_variants_keep_structural_invariants(distance, rng):
         assert len(set(row.tolist())) == 6
         assert h.centers[j] in row
     assert h.d_v.sum() == 24
-
-
-def test_softmax_distance_ranks_like_dot(rng):
-    nodes = rng.uniform(-1, 1, (15, 4))
-    ts = make_tokens(nodes, grid=(3, 5))
-    h_dot = cs_knn(ts, 3, 5, distance="dot")
-    h_soft = cs_knn(ts, 3, 5, distance="softmax")
-    npt.assert_array_equal(h_dot.members, h_soft.members)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hgformer.construct import IncidenceMatrix, TokenSet, cs_knn
 from hgformer.messaging import (
     DropPath,
     HgaParams,
-    broadcast_e2n,
     feed_forward,
     hga_e2n,
     hga_n2e,
@@ -28,7 +28,10 @@ from hgformer.tensor import (
     Tensor,
     add,
     cross_entropy_logits,
+    edge_gather_mean,
+    matmul,
     mul,
+    node_scatter_mean,
     sum_all,
 )
 
@@ -53,6 +56,16 @@ def params64(rng, c, heads=1, with_ffn=False):
     return init_hga_params(c, heads, rng, dtype=np.float64, with_ffn=with_ffn)
 
 
+def linear_n2e(v, h, w):
+    """hgconv_n2e without its GELU: member mean, then the linear map."""
+    return matmul(edge_gather_mean(v, h), w)
+
+
+def linear_e2n(e, h, w):
+    """hgconv_e2n without its GELU: incident-edge mean, then the linear map."""
+    return matmul(node_scatter_mean(e, h), w)
+
+
 # --------------------------------------------------------------------------
 # hgconv closed forms
 
@@ -61,7 +74,7 @@ def test_hgconv_n2e_single_edge_is_mean():
     v = t64([[1.0, 1.0], [3.0, 3.0]])
     h = IncidenceMatrix(n_nodes=2, members=np.array([[0, 1]]), centers=np.array([0]))
     eye = Tensor(np.eye(2), dtype=np.float64)
-    out = hgconv_n2e(v, h, eye, activation=False)
+    out = linear_n2e(v, h, eye)
     npt.assert_allclose(out.data, [[2.0, 2.0]], atol=1e-12)
 
 
@@ -72,9 +85,9 @@ def test_hgconv_identity_pattern_roundtrip(rng):
         n_nodes=n, members=np.arange(n)[:, None], centers=np.arange(n)
     )
     eye = Tensor(np.eye(3), dtype=np.float64)
-    e = hgconv_n2e(v, h, eye, activation=False)
+    e = linear_n2e(v, h, eye)
     npt.assert_allclose(e.data, v.data, atol=1e-12)
-    back = hgconv_e2n(e, h, eye, activation=False)
+    back = linear_e2n(e, h, eye)
     npt.assert_allclose(back.data, v.data, atol=1e-12)
 
 
@@ -95,11 +108,11 @@ def test_double_hgconv_single_edge_is_global_mean_smoother(rng):
     v = t64(rng.uniform(-1, 1, (n, 4)))
     h = IncidenceMatrix(n_nodes=n, members=np.arange(n)[None, :], centers=np.array([0]))
     eye = Tensor(np.eye(4), dtype=np.float64)
-    e = hgconv_n2e(v, h, eye, activation=False)
-    out = hgconv_e2n(e, h, eye, activation=False)
+    e = linear_n2e(v, h, eye)
+    out = linear_e2n(e, h, eye)
     mean = v.data.mean(axis=0)
     npt.assert_allclose(out.data, np.tile(mean, (n, 1)), atol=1e-12)
-    again = hgconv_e2n(hgconv_n2e(out, h, eye, activation=False), h, eye, activation=False)
+    again = linear_e2n(linear_n2e(out, h, eye), h, eye)
     npt.assert_allclose(again.data, out.data, atol=1e-12)
 
 
@@ -272,10 +285,11 @@ def test_roundtrip_all_parameter_gradients(rng):
         assert rel_err_max(t.grad, numeric_grad(loss, t)) < 1e-4, name
 
 
-def test_broadcast_e2n_means_incident_edges(rng):
+def test_single_stage_update_means_incident_edges(rng):
+    # the single-stage ablation arm's node update is this plain mean broadcast
     h = IncidenceMatrix(n_nodes=4, members=np.array([[0, 1], [1, 2]]), centers=np.array([0, 2]))
     e = t64([[2.0, 0.0], [4.0, 2.0]])
-    out = broadcast_e2n(e, h)
+    out = node_scatter_mean(e, h)
     npt.assert_allclose(out.data, [[2, 0], [3, 1], [4, 2], [0, 0]], atol=1e-12)
 
 
@@ -287,6 +301,8 @@ def test_pipeline_node_permutation_equivariance(rng):
     n, c = 9, 4
     pn = params64(rng, c)
     pe = params64(rng, c, with_ffn=True)
+    # without its depthwise kernel the feedforward is linear per token
+    pe = dataclasses.replace(pe, ffn=dataclasses.replace(pe.ffn, dw_kernel=None, dw_bias=None))
     nodes = rng.uniform(-1, 1, (n, c))
     cls = rng.uniform(-1, 1, (1, c))
 
@@ -294,7 +310,7 @@ def test_pipeline_node_permutation_equivariance(rng):
         ts = TokenSet(nodes=Tensor(node_arr, dtype=np.float64), class_token=Tensor(cls, dtype=np.float64), grid=(3, 3))
         h = cs_knn(ts, n_edges=3, k=4)
         e1 = hga_n2e(ts.nodes, h, pn)
-        return hga_e2n(e1, h, (3, 3), pe, conv_enabled=False).data
+        return hga_e2n(e1, h, (3, 3), pe).data
 
     out = run(nodes)
     perm = rng.permutation(n)

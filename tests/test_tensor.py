@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from hgformer.construct import IncidenceMatrix
 from hgformer.model import HGFormer, variant
+from hgformer.training import AdamW
 from hgformer.tensor import (
     ConfigError,
     FlopCounter,
@@ -36,7 +37,6 @@ from hgformer.tensor import (
     softmax_rows,
     sum_all,
     tokens_to_grid,
-    zero_grads,
 )
 
 from conftest import numeric_grad, rel_err_max
@@ -279,7 +279,7 @@ def test_repeated_backward_accumulates():
     tape.backward(loss)
     tape.backward(loss)
     npt.assert_array_equal(x.grad, 2 * np.ones(3))
-    zero_grads([x])
+    AdamW({"x": x}).zero_grad()
     assert x.grad is None
 
 

@@ -256,5 +256,3 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(base_lr=-1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(schedule="step")
