@@ -201,12 +201,12 @@ def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Ten
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """The interaction term on ``(N, H*d)`` projections: scaled scores, row softmax, value mixing.
 
-    All heads run as one stacked op for the scores, one scale and softmax
-    over their ``(H*Nq, Nk)`` rows, and one op mixing the values; head ``h``
-    owns channels ``[h*d, (h+1)*d)``. Its cost scales as queries x keys x
-    channels.
+    All heads run as one stacked op for the scores, with the ``1/sqrt(d)``
+    scale folded into it, one softmax over their ``(H*Nq, Nk)`` rows, and one
+    op mixing the values; head ``h`` owns channels ``[h*d, (h+1)*d)``. Its
+    cost scales as queries x keys x channels.
     """
-    scores = scale(attention_scores(q, k, n_heads), 1.0 / math.sqrt(q.shape[1] // n_heads))
+    scores = attention_scores(q, k, n_heads, 1.0 / math.sqrt(q.shape[1] // n_heads))
     return attention_mix(softmax_rows(scores), v, n_heads)
 
 

@@ -6,6 +6,13 @@ eagerly, check that their outputs are finite, and register a backward rule on
 the innermost active tape. With no tape active the same ops run as plain
 inference at lower cost.
 
+Each forward op allocates its output once and writes its intermediates in
+place into buffers it allocated itself, never into an input's ``data`` or an
+array a backward rule captured, and only where the destination already has
+the dtype of the out-of-place expression (:func:`_add_into`), so no value is
+rounded twice. At 224x224 this spares the kernel from mapping and faulting in
+the large temporaries again on every forward.
+
 Layout is row-major and contiguous. Broadcasting is deliberately limited to
 bias-style patterns (vector against matrix rows or columns) so every backward
 rule stays auditable; :func:`matmul` takes such a bias, so an affine map is
@@ -233,6 +240,14 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> T
     return out
 
 
+def _add_into(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``y + b`` written into ``y``, the op's own buffer, unless ``b`` would promote the sum's dtype."""
+    if np.result_type(y, b) != y.dtype:
+        return y + b
+    y += b
+    return y
+
+
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -267,7 +282,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             accum(b, a.data.T @ g)
 
     y = a.data @ b.data
-    return _make(y, (a, b), bwd) if bias is None else _make(y + bias.data, (a, b, bias), bwd)
+    return _make(y, (a, b), bwd) if bias is None else _make(_add_into(y, bias.data), (a, b, bias), bwd)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -282,10 +297,12 @@ def _join_heads(x: np.ndarray) -> np.ndarray:
     return x[0] if h == 1 else np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, h * d)
 
 
-def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
-    """Per-head logits ``Q_h K_hᵀ`` of ``(N, H*d)`` queries and keys, stacked into ``(H*Nq, Nk)`` rows.
+def attention_scores(q: Tensor, k: Tensor, n_heads: int, s: float) -> Tensor:
+    """Per-head logits ``s Q_h K_hᵀ`` of ``(N, H*d)`` queries and keys, stacked into ``(H*Nq, Nk)`` rows.
 
     Each head multiplies contiguous copies of its column blocks, as a 2-d :func:`matmul` of them would.
+    The scale ``s`` is folded in: the products are multiplied by it in place, and the backward
+    first forms ``g * s``, so the result equals :func:`scale` applied to the unscaled scores.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1] or q.shape[1] % n_heads:
         raise ShapeError(f"attention_scores shapes incompatible: {q.shape} x {k.shape} in {n_heads} heads")
@@ -293,10 +310,10 @@ def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
     nk = k.shape[0]
     qh = _split_heads(q.data, n_heads)
     kt = np.ascontiguousarray(k.data.reshape(nk, n_heads, c // n_heads).transpose(1, 2, 0))
-    add_flops(2 * nq * c * nk)
+    add_flops(2 * nq * c * nk + n_heads * nq * nk)
 
     def bwd(g, accum):
-        g = g.reshape(n_heads, nq, nk)
+        g = (g * s).reshape(n_heads, nq, nk)
         if q.requires_grad:
             accum(q, _join_heads(g @ kt.transpose(0, 2, 1)))
         if k.requires_grad:
@@ -305,7 +322,9 @@ def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
             # kept as the transposed view for one head and C order for several
             accum(k, _join_heads((qh.transpose(0, 2, 1) @ g).transpose(0, 2, 1)))
 
-    return _make((qh @ kt).reshape(n_heads * nq, nk), (q, k), bwd)
+    y = (qh @ kt).reshape(n_heads * nq, nk)
+    y *= s
+    return _make(y, (q, k), bwd)
 
 
 def attention_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -407,9 +426,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows expects 2-d input, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = x.data - x.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
     add_flops(5 * x.size)
 
     def bwd(g, accum):
@@ -432,9 +451,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # eps=0 on a constant row fails the finite check instead
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv
+        xhat = np.multiply(xc, inv, out=xc)
     g1 = gamma.data.reshape(1, n)
-    y = xhat * g1 + beta.data.reshape(1, n)
+    y = _add_into(xhat * g1, beta.data.reshape(1, n))
     add_flops(8 * x.size)
 
     def bwd(g, accum):
@@ -453,7 +472,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-form GELU: ``x * Phi(x)``."""
-    phi = 0.5 * (1.0 + erf(x.data * x.data.dtype.type(_INV_SQRT2)))
+    phi = x.data * x.data.dtype.type(_INV_SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     add_flops(6 * x.size)
 
     def bwd(g, accum):
@@ -513,11 +535,12 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> T
         raise ConfigError(f"depthwise kernel must be ({c},3,3), got {kernel.shape}")
     pad = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
     y = np.zeros_like(x.data)
+    tap = np.empty(x.shape, dtype=np.result_type(kernel.data, pad))
     for i in range(3):
         for j in range(3):
-            y += kernel.data[:, i, j, None, None] * pad[:, i : i + h, j : j + w]
+            y += np.multiply(kernel.data[:, i, j, None, None], pad[:, i : i + h, j : j + w], out=tap)
     if bias is not None:
-        y = y + bias.data.reshape(c, 1, 1)
+        y = _add_into(y, bias.data.reshape(c, 1, 1))
     add_flops(18 * x.size)
 
     def bwd(g, accum):
@@ -591,7 +614,7 @@ def extract_patches(x: Tensor, stride: int) -> Tensor:
 
 
 def edge_gather_mean(v: Tensor, h: IncidenceMatrix) -> Tensor:
-    """Mean of ``v`` rows over each hyperedge's K members: ``D_e^-1 Hᵀ v``."""
+    """Mean of ``v`` rows over each hyperedge's K members, ``D_e^-1 Hᵀ v``, added in ascending order."""
     if v.data.ndim != 2 or v.shape[0] != h.n_nodes:
         raise ShapeError(f"edge_gather_mean expects ({h.n_nodes}, C) tokens, got {v.shape}")
     ne, k = h.members.shape
@@ -601,7 +624,9 @@ def edge_gather_mean(v: Tensor, h: IncidenceMatrix) -> Tensor:
         if v.requires_grad:
             accum(v, h.sparse @ (g / k))
 
-    return _make(v.data[h.members].mean(axis=1), (v,), bwd)
+    out = h.sparse_t @ v.data
+    out /= k
+    return _make(out, (v,), bwd)
 
 
 def node_scatter_mean(e: Tensor, h: IncidenceMatrix) -> Tensor:

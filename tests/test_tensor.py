@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -350,7 +351,7 @@ def _op_cases(rng):
         (
             "attention_scores",
             (rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (4, 6))),
-            lambda q, k: attention_scores(q, k, 2),
+            lambda q, k: attention_scores(q, k, 2, 0.7),
         ),
         (
             "attention_mix",
@@ -421,10 +422,13 @@ def test_op_gradients_match_finite_differences(name):
 
 
 def add_at_reference(members, n_nodes, v, e, g_nodes, g_edges):
-    """Edge-gather backward, node-scatter forward and backward, accumulated with np.add.at."""
+    """Edge-gather forward and backward, node-scatter forward and backward, accumulated with np.add.at."""
     ne, k = members.shape
     node_ids = members.ravel()
     edge_ids = np.repeat(np.arange(ne), k)
+    pooled = np.zeros((ne, v.shape[1]), dtype=v.dtype)
+    np.add.at(pooled, edge_ids, v[node_ids])
+    pooled /= k
     denom = np.maximum(np.bincount(node_ids, minlength=n_nodes), 1).astype(e.dtype)
     dv = np.zeros_like(v)
     np.add.at(dv, node_ids, np.repeat(g_edges / k, k, axis=0))
@@ -433,7 +437,7 @@ def add_at_reference(members, n_nodes, v, e, g_nodes, g_edges):
     out /= denom[:, None]
     de = np.zeros_like(e)
     np.add.at(de, edge_ids, g_nodes[node_ids] / denom[node_ids, None])
-    return dv, out, de
+    return pooled, dv, out, de
 
 
 @given(
@@ -457,7 +461,7 @@ def test_gather_scatter_byte_equal_to_add_at(seed, n_nodes, channels, dtype):
         return x
 
     v_data, e_data, g_nodes, g_edges = draw(n_nodes), draw(ne), draw(n_nodes), draw(ne)
-    ref_dv, ref_out, ref_de = add_at_reference(members, n_nodes, v_data, e_data, g_nodes, g_edges)
+    ref_pooled, ref_dv, ref_out, ref_de = add_at_reference(members, n_nodes, v_data, e_data, g_nodes, g_edges)
 
     v = Tensor(v_data, requires_grad=True)
     e = Tensor(e_data, requires_grad=True)
@@ -466,8 +470,91 @@ def test_gather_scatter_byte_equal_to_add_at(seed, n_nodes, channels, dtype):
         out = node_scatter_mean(e, h)
         loss = add(sum_all(mul(pooled, Tensor(g_edges))), sum_all(mul(out, Tensor(g_nodes))))
     tape.backward(loss)
-    for got, ref in ((out.data, ref_out), (v.grad, ref_dv), (e.grad, ref_de)):
+    # the forward gather adds members in order for every C, also C = 1, where a
+    # mean over the (Ne, K, C) gather would sum pairwise
+    for got, ref in ((pooled.data, ref_pooled), (out.data, ref_out), (v.grad, ref_dv), (e.grad, ref_de)):
         assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
+# --------------------------------------------------------------------------
+# one buffer per forward op
+
+
+def _stage0_incidence(rng, n_nodes=3136, n_edges=392, k=128):
+    members = np.sort(np.stack([rng.choice(n_nodes, k, replace=False) for _ in range(n_edges)]), axis=1)
+    h = IncidenceMatrix(n_nodes=n_nodes, members=members, centers=members[:, 0])
+    h.sparse_t  # built once per incidence, before any op runs on it
+    return h
+
+
+def _budget_cases(rng):
+    """T stage-0 shapes: (392, 3136) scores, (392, 32) / (3136, 32) queries and keys, (3136, 128) hidden."""
+
+    def f32(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    scores, q, k, hidden = f32(392, 3136), f32(392, 32), f32(3136, 32), f32(3136, 128)
+    gamma, beta, w, bias = f32(128), f32(128), f32(128, 128), f32(128)
+    h = _stage0_incidence(rng)
+    # (call, bytes of the arrays its backward keeps besides the output)
+    return {
+        "softmax_rows": (lambda: softmax_rows(scores), 0),
+        "attention_scores": (lambda: attention_scores(q, k, 1, 0.17), q.data.nbytes + k.data.nbytes),
+        "layer_norm": (lambda: layer_norm(hidden, gamma, beta), hidden.data.nbytes),
+        "gelu": (lambda: gelu(hidden), hidden.data.nbytes),
+        "matmul_bias": (lambda: matmul(hidden, w, bias), 0),
+        "edge_gather_mean": (lambda: edge_gather_mean(k, h), 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_budget_cases(np.random.default_rng(0))))
+def test_forward_op_allocates_only_its_output_and_what_backward_keeps(name):
+    call, kept = _budget_cases(np.random.default_rng(0))[name]
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output, the finite check's bool mask, the kept arrays, and 64 KiB for
+    # row vectors and the op's Python objects
+    budget = out.data.nbytes + out.size + kept + 65536
+    assert peak <= budget, f"{name}: peak {peak} bytes over the budget of {budget}"
+
+
+def _old_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt(var + eps))
+    return xhat * gamma.reshape(1, -1) + beta.reshape(1, -1)
+
+
+def _old_depthwise(x, kernel, bias):
+    c, h, w = x.shape
+    pad = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    y = np.zeros_like(x)
+    for i in range(3):
+        for j in range(3):
+            y += kernel[:, i, j, None, None] * pad[:, i : i + h, j : j + w]
+    return y + bias.reshape(c, 1, 1)
+
+
+@pytest.mark.parametrize("act, par", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_in_place_ops_keep_the_dtype_and_bytes_of_mixed_precision(act, par):
+    # an in-place add into a float32 buffer would round a float64 sum twice
+    rng = np.random.default_rng(7)
+    x, x3 = rng.standard_normal((5, 6)).astype(act), rng.standard_normal((4, 5, 6)).astype(act)
+    w, v6, v4 = (rng.standard_normal(s).astype(par) for s in ((6, 3), (6,), (4,)))
+    kernel, v3 = rng.standard_normal((4, 3, 3)).astype(par), rng.standard_normal(3).astype(par)
+    cases = (
+        (matmul(Tensor(x), Tensor(w), Tensor(v3)).data, x @ w + v3),
+        (layer_norm(Tensor(x), Tensor(v6), Tensor(v6[::-1])).data, _old_layer_norm(x, v6, v6[::-1])),
+        (depthwise_conv2d(Tensor(x3), Tensor(kernel), Tensor(v4)).data, _old_depthwise(x3, kernel, v4)),
+    )
+    for got, ref in cases:
+        assert got.dtype == ref.dtype == np.float64
         assert got.tobytes() == ref.tobytes()
 
 
