@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -110,24 +107,18 @@ def run_ablation(
     n_seeds: int = 3,
     log=None,
 ) -> AblationTable:
-    """Train every arm ``n_seeds`` times on the shared dataset and seed set.
-
-    The runs are independent and seeded, so they train in worker processes,
-    one per core up to one per run; rows, reports and log lines keep the
-    arm-major, seed-minor order, and every accuracy equals that of a run in
-    this process.
-    """
+    """Train every arm ``n_seeds`` times on the shared dataset and seed set."""
     if len(arms) < 2:
         raise ConfigError("need at least two ablation arms")
     if n_seeds < 1:
         raise ConfigError(f"need at least one seed per arm, got {n_seeds}")
     _assert_single_factor(arms)
-    runs = [(name, cfg, replace(train_cfg, seed=train_cfg.seed + i)) for name, cfg in arms for i in range(n_seeds)]
     rows: list[AblationRow] = []
     reports: list[RunReport] = []
-    with ProcessPoolExecutor(min(len(runs), os.cpu_count() or 1)) as pool:
-        done = pool.map(train, [cfg for _, cfg, _ in runs], repeat(dataset), [run_cfg for *_, run_cfg in runs])
-        for (arm_name, _, run_cfg), report in zip(runs, done):
+    for arm_name, cfg in arms:
+        for i in range(n_seeds):
+            run_cfg = replace(train_cfg, seed=train_cfg.seed + i)
+            report = train(cfg, dataset, run_cfg)
             rows.append(AblationRow(arm=arm_name, seed=run_cfg.seed, final_acc=report.final_acc, wall_s=report.wall_time_s))
             reports.append(report)
             if log:

@@ -10,7 +10,6 @@ over the token grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +205,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     op mixing the values; head ``h`` owns channels ``[h*d, (h+1)*d)``. Its
     cost scales as queries x keys x channels.
     """
-    scores = attention_scores(q, k, n_heads, 1.0 / math.sqrt(q.shape[1] // n_heads))
+    scores = attention_scores(q, k, n_heads)
     return attention_mix(softmax_rows(scores), v, n_heads)
 
 

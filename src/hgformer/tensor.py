@@ -26,6 +26,7 @@ builds the overflow in ``test_non_finite_output_raises``.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
@@ -297,17 +298,18 @@ def _join_heads(x: np.ndarray) -> np.ndarray:
     return x[0] if h == 1 else np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, h * d)
 
 
-def attention_scores(q: Tensor, k: Tensor, n_heads: int, s: float) -> Tensor:
-    """Per-head logits ``s Q_h K_hᵀ`` of ``(N, H*d)`` queries and keys, stacked into ``(H*Nq, Nk)`` rows.
+def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
+    """Per-head logits ``Q_h K_hᵀ / sqrt(d)`` of ``(N, H*d)`` queries and keys, stacked into ``(H*Nq, Nk)`` rows.
 
     Each head multiplies contiguous copies of its column blocks, as a 2-d :func:`matmul` of them would.
-    The scale ``s`` is folded in: the products are multiplied by it in place, and the backward
-    first forms ``g * s``, so the result equals :func:`scale` applied to the unscaled scores.
+    The ``1/sqrt(d)`` scale is folded in: the products are multiplied by it in place, and the
+    backward first forms ``g * s``, so the result equals :func:`scale` applied to the unscaled scores.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1] or q.shape[1] % n_heads:
         raise ShapeError(f"attention_scores shapes incompatible: {q.shape} x {k.shape} in {n_heads} heads")
     nq, c = q.shape
     nk = k.shape[0]
+    s = 1.0 / math.sqrt(c // n_heads)
     qh = _split_heads(q.data, n_heads)
     kt = np.ascontiguousarray(k.data.reshape(nk, n_heads, c // n_heads).transpose(1, 2, 0))
     add_flops(2 * nq * c * nk + n_heads * nq * nk)

@@ -6,7 +6,7 @@ from hgformer.ablation import AblationTable, ablation_arms, run_ablation
 from hgformer.data import ToyDatasetSpec, make_toy_dataset
 from hgformer.model import variant
 from hgformer.tensor import ConfigError
-from hgformer.training import TrainConfig, train
+from hgformer.training import TrainConfig
 
 
 def tiny_setup():
@@ -61,17 +61,6 @@ def test_csv_format():
     assert len(lines) == 3
     det = table.deterministic_csv().strip().split("\n")
     assert det[0] == "arm,seed,final_acc"
-
-
-def test_runs_in_workers_equal_runs_in_this_process():
-    ds, cfg = tiny_setup()
-    base = variant("Micro", n_classes=2)
-    arms = [("cs_knn", base), ("knn", dataclasses.replace(base, construct_algo="knn"))]
-    table = run_ablation(arms, ds, cfg, n_seeds=2)
-    ref = [train(c, ds, dataclasses.replace(cfg, seed=cfg.seed + i)) for _, c in arms for i in range(2)]
-    key = lambda r: (r.final_acc, r.best_epoch, r.epochs, r.config_hash)
-    assert [key(r) for r in table.reports] == [key(r) for r in ref]
-    assert [(r.arm, r.seed) for r in table.rows] == [("cs_knn", 0), ("cs_knn", 1), ("knn", 0), ("knn", 1)]
 
 
 def test_mixed_factor_arms_rejected():

@@ -351,7 +351,7 @@ def _op_cases(rng):
         (
             "attention_scores",
             (rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (4, 6))),
-            lambda q, k: attention_scores(q, k, 2, 0.7),
+            lambda q, k: attention_scores(q, k, 2),
         ),
         (
             "attention_mix",
@@ -500,7 +500,7 @@ def _budget_cases(rng):
     # (call, bytes of the arrays its backward keeps besides the output)
     return {
         "softmax_rows": (lambda: softmax_rows(scores), 0),
-        "attention_scores": (lambda: attention_scores(q, k, 1, 0.17), q.data.nbytes + k.data.nbytes),
+        "attention_scores": (lambda: attention_scores(q, k, 1), q.data.nbytes + k.data.nbytes),
         "layer_norm": (lambda: layer_norm(hidden, gamma, beta), hidden.data.nbytes),
         "gelu": (lambda: gelu(hidden), hidden.data.nbytes),
         "matmul_bias": (lambda: matmul(hidden, w, bias), 0),
