@@ -214,13 +214,20 @@ def knn_assign(tokens: TokenSet, centers: np.ndarray, k: int, distance: str = "d
 
     The center competes in the ranking like any node; if it still misses the
     top k (possible under the dot-product similarity), it replaces the k-th
-    ranked member so every hyperedge contains its own center.
+    ranked member so every hyperedge contains its own center. ``dot`` ranks
+    the product itself, in the tokens' dtype: the float64 division by
+    ``sqrt(C)`` changes no order, and for float32 tokens no tie either.
     """
     n = tokens.n_tokens
     if not 1 <= k <= n:
         raise ConfigError(f"need 1 <= k <= {n}, got {k}")
     centers = np.asarray(centers, dtype=np.int64)
-    sims = similarity(tokens.nodes.data[centers], tokens.nodes.data, distance)
+    x = tokens.nodes.data
+    if distance == "dot":
+        add_flops(2 * centers.size * n * x.shape[1])
+        sims = x[centers] @ x.T
+    else:
+        sims = similarity(x[centers], x, distance)
     return IncidenceMatrix(n_nodes=n, members=_rank_members(sims, centers, k), centers=centers)
 
 

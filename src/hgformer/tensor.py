@@ -6,6 +6,11 @@ eagerly, check that their outputs are finite, and register a backward rule on
 the innermost active tape. With no tape active the same ops run as plain
 inference at lower cost.
 
+A backward rule captures the arrays it reads and a gradient key for each
+input, never an input :class:`Tensor`: a leaf is its own key, and a recorded
+output gets a data-free key of its own. So a value that no rule reads is
+freed as soon as the forward drops it, while the tape lives until backward.
+
 Each forward op allocates its output once and writes its intermediates in
 place into buffers it allocated itself, never into an input's ``data`` or an
 array a backward rule captured, and only where the destination already has
@@ -90,10 +95,11 @@ class Tensor:
 
     ``grad`` accumulates across backward passes until the optimizer's
     ``zero_grad`` resets it to ``None``. Tensors produced by ops are treated as immutable; parameter
-    updates happen between steps by rebinding ``data``.
+    updates happen between steps by rebinding ``data``. ``key`` is the gradient key a tape
+    recorded this tensor under, ``None`` for a leaf.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.ascontiguousarray(data, dtype=dtype)
@@ -102,6 +108,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self.key: object | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,15 +135,17 @@ _flop_counters: list["FlopCounter"] = []
 
 
 class Tape:
-    """Execution-ordered record of ops; backward replays it exactly once, in reverse.
+    """Execution-ordered record of ``(gradient key, backward rule)`` pairs; backward replays it in reverse.
 
     Because records append in execution order, every op's inputs were produced
     earlier on the tape, which is the topological order backward relies on.
-    Tapes nest; ops record on the innermost one.
+    Each :meth:`backward` call replays the whole record, so repeated calls add
+    their gradients on top of each other. Tapes nest; ops record on the
+    innermost one.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable]] = []
+        self._records: list[tuple[object, Callable]] = []
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -154,8 +163,10 @@ class Tape:
     def active() -> "Tape | None":
         return _tapes[-1] if _tapes else None
 
-    def _record(self, out: Tensor, backward: Callable) -> None:
-        self._records.append((out, backward))
+    def _record(self, backward: Callable) -> object:
+        key = object()
+        self._records.append((key, backward))
+        return key
 
     def backward(self, loss: Tensor) -> None:
         """Add d(loss)/d(leaf) into ``Tensor.grad`` of every recorded leaf that requires grad.
@@ -164,27 +175,21 @@ class Tape:
         """
         if loss.size != 1:
             raise NumericalError(f"backward needs a scalar loss, got shape {loss.shape}")
-        produced = {id(out) for out, _ in self._records}
-        grads: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
+        grads: dict[object, np.ndarray] = {_key(loss): np.ones_like(loss.data)}
 
-        def accum(t: Tensor, g: np.ndarray) -> None:
-            slot = grads.get(id(t))
-            if slot is None:
-                grads[id(t)] = [t, g]
-            else:
-                slot[1] = slot[1] + g
+        def accum(key: object, g: np.ndarray) -> None:
+            prev = grads.get(key)
+            grads[key] = g if prev is None else prev + g
 
-        for out, bwd in reversed(self._records):
-            slot = grads.pop(id(out), None)
-            if slot is None:
-                continue
-            bwd(np.asarray(slot[1]), accum)
+        for key, bwd in reversed(self._records):
+            g = grads.pop(key, None)
+            if g is not None:
+                bwd(np.asarray(g), accum)
 
-        for key, (t, g) in grads.items():
-            if key in produced or not t.requires_grad:
-                continue
-            g = np.asarray(g).reshape(t.data.shape)
-            t.grad = g if t.grad is None else t.grad + g
+        for t, g in grads.items():
+            if isinstance(t, Tensor) and t.requires_grad:
+                g = np.asarray(g).reshape(t.data.shape)
+                t.grad = g if t.grad is None else t.grad + g
 
 
 class FlopCounter:
@@ -232,12 +237,21 @@ def _finite(data: np.ndarray) -> np.ndarray:
     return data
 
 
+def _key(t: Tensor) -> object:
+    return t if t.key is None else t.key
+
+
+def _grad_keys(*inputs: Tensor | None) -> list:
+    """Each input's gradient key, or ``None`` for an absent input or one that needs no gradient."""
+    return [_key(t) if t is not None and t.requires_grad else None for t in inputs]
+
+
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(_finite(data))
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = Tape.active()
     if tape is not None and out.requires_grad:
-        tape._record(out, backward)
+        out.key = tape._record(backward)
     return out
 
 
@@ -273,16 +287,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and not _broadcast_ok((m, n), bias.shape):
         raise ShapeError(f"matmul bias {bias.shape} does not broadcast to ({m}, {n})")
     add_flops(2 * m * k * n + (0 if bias is None else m * n))
+    ka, kb, kbias = _grad_keys(a, b, bias)
+    ad, bd = a.data, b.data
+    bias_shape = None if bias is None else bias.shape
 
     def bwd(g, accum):
-        if bias is not None and bias.requires_grad:
-            accum(bias, _reduce_to(g, bias.data.shape))
-        if a.requires_grad:
-            accum(a, g @ b.data.T)
-        if b.requires_grad:
-            accum(b, a.data.T @ g)
+        if kbias is not None:
+            accum(kbias, _reduce_to(g, bias_shape))
+        if ka is not None:
+            accum(ka, g @ bd.T)
+        if kb is not None:
+            accum(kb, ad.T @ g)
 
-    y = a.data @ b.data
+    y = ad @ bd
     return _make(y, (a, b), bwd) if bias is None else _make(_add_into(y, bias.data), (a, b, bias), bwd)
 
 
@@ -313,16 +330,17 @@ def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
     qh = _split_heads(q.data, n_heads)
     kt = np.ascontiguousarray(k.data.reshape(nk, n_heads, c // n_heads).transpose(1, 2, 0))
     add_flops(2 * nq * c * nk + n_heads * nq * nk)
+    kq, kk = _grad_keys(q, k)
 
     def bwd(g, accum):
         g = (g * s).reshape(n_heads, nq, nk)
-        if q.requires_grad:
-            accum(q, _join_heads(g @ kt.transpose(0, 2, 1)))
-        if k.requires_grad:
+        if kq is not None:
+            accum(kq, _join_heads(g @ kt.transpose(0, 2, 1)))
+        if kk is not None:
             # dK as (Q_hᵀ G_h)ᵀ: OpenBLAS picks its kernel by operand layout, so
             # the bits of the downstream g @ Wᵀ depend on dK's layout, which is
             # kept as the transposed view for one head and C order for several
-            accum(k, _join_heads((qh.transpose(0, 2, 1) @ g).transpose(0, 2, 1)))
+            accum(kk, _join_heads((qh.transpose(0, 2, 1) @ g).transpose(0, 2, 1)))
 
     y = (qh @ kt).reshape(n_heads * nq, nk)
     y *= s
@@ -338,13 +356,14 @@ def attention_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
     w3 = w.data.reshape(n_heads, nq, nk)
     vh = _split_heads(v.data, n_heads)
     add_flops(2 * nq * nk * c)
+    kw, kv = _grad_keys(w, v)
 
     def bwd(g, accum):
         g = g.reshape(nq, n_heads, c // n_heads).transpose(1, 0, 2)
-        if w.requires_grad:
-            accum(w, (g @ vh.transpose(0, 2, 1)).reshape(n_heads * nq, nk))
-        if v.requires_grad:
-            accum(v, _join_heads(w3.transpose(0, 2, 1) @ g))
+        if kw is not None:
+            accum(kw, (g @ vh.transpose(0, 2, 1)).reshape(n_heads * nq, nk))
+        if kv is not None:
+            accum(kv, _join_heads(w3.transpose(0, 2, 1) @ g))
 
     return _make(_join_heads(w3 @ vh), (w, v), bwd)
 
@@ -363,12 +382,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
     add_flops(a.size)
+    ka, kb = _grad_keys(a, b)
+    b_shape = b.shape
 
     def bwd(g, accum):
-        if a.requires_grad:
-            accum(a, g)
-        if b.requires_grad:
-            accum(b, _reduce_to(g, b.data.shape))
+        if ka is not None:
+            accum(ka, g)
+        if kb is not None:
+            accum(kb, _reduce_to(g, b_shape))
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -378,21 +399,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
     add_flops(a.size)
+    ka, kb = _grad_keys(a, b)
+    ad, bd = a.data, b.data
 
     def bwd(g, accum):
-        if a.requires_grad:
-            accum(a, g * b.data)
-        if b.requires_grad:
-            accum(b, g * a.data)
+        if ka is not None:
+            accum(ka, g * bd)
+        if kb is not None:
+            accum(kb, g * ad)
 
     return _make(a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     add_flops(a.size)
+    ka = _key(a)
 
     def bwd(g, accum):
-        accum(a, g * s)
+        accum(ka, g * s)
 
     return _make(a.data * s, (a,), bwd)
 
@@ -400,9 +424,10 @@ def scale(a: Tensor, s: float) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     """Scalar sum of all entries."""
     add_flops(a.size)
+    ka, shape, dtype = _key(a), a.shape, a.dtype
 
     def bwd(g, accum):
-        accum(a, np.full_like(a.data, np.asarray(g).item()))
+        accum(ka, np.full(shape, np.asarray(g).item(), dtype))
 
     return _make(np.asarray(a.data.sum()), (a,), bwd)
 
@@ -413,9 +438,10 @@ def mean_rows(a: Tensor) -> Tensor:
         raise ShapeError(f"mean_rows expects 2-d input, got {a.shape}")
     m = a.shape[0]
     add_flops(a.size)
+    ka, shape = _key(a), a.shape
 
     def bwd(g, accum):
-        accum(a, np.broadcast_to(g / m, a.data.shape))
+        accum(ka, np.broadcast_to(g / m, shape))
 
     return _make(a.data.mean(axis=0, keepdims=True), (a,), bwd)
 
@@ -432,11 +458,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
     add_flops(5 * x.size)
+    kx = _key(x)
 
     def bwd(g, accum):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            accum(x, y * (g - dot))
+        dot = (g * y).sum(axis=1, keepdims=True)
+        accum(kx, y * (g - dot))
 
     return _make(y, (x,), bwd)
 
@@ -457,35 +483,38 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     g1 = gamma.data.reshape(1, n)
     y = _add_into(xhat * g1, beta.data.reshape(1, n))
     add_flops(8 * x.size)
+    kx, kgamma, kbeta = _grad_keys(x, gamma, beta)
+    gamma_shape, beta_shape = gamma.shape, beta.shape
 
     def bwd(g, accum):
-        if beta.requires_grad:
-            accum(beta, _reduce_to(g.sum(axis=0), beta.data.shape))
-        if gamma.requires_grad:
-            accum(gamma, _reduce_to((g * xhat).sum(axis=0), gamma.data.shape))
-        if x.requires_grad:
+        if kbeta is not None:
+            accum(kbeta, _reduce_to(g.sum(axis=0), beta_shape))
+        if kgamma is not None:
+            accum(kgamma, _reduce_to((g * xhat).sum(axis=0), gamma_shape))
+        if kx is not None:
             dxhat = g * g1
             m1 = dxhat.mean(axis=1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            accum(x, inv * (dxhat - m1 - xhat * m2))
+            accum(kx, inv * (dxhat - m1 - xhat * m2))
 
     return _make(y, (x, gamma, beta), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-form GELU: ``x * Phi(x)``."""
-    phi = x.data * x.data.dtype.type(_INV_SQRT2)
+    xd = x.data
+    phi = xd * xd.dtype.type(_INV_SQRT2)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     add_flops(6 * x.size)
+    kx = _key(x)
 
     def bwd(g, accum):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            accum(x, g * (phi + x.data * pdf))
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        accum(kx, g * (phi + xd * pdf))
 
-    return _make(x.data * phi, (x,), bwd)
+    return _make(xd * phi, (x,), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -493,8 +522,10 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    ka, a_shape = _key(a), a.shape
+
     def bwd(g, accum):
-        accum(a, g.reshape(a.data.shape))
+        accum(ka, g.reshape(a_shape))
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -505,9 +536,10 @@ def tokens_to_grid(t: Tensor, grid: tuple[int, int]) -> Tensor:
     n, c = t.shape
     if h * w != n:
         raise ShapeError(f"grid {grid} does not cover {n} tokens")
+    kt = _key(t)
 
     def bwd(g, accum):
-        accum(t, g.reshape(c, n).T)
+        accum(kt, g.reshape(c, n).T)
 
     return _make(t.data.T.reshape(c, h, w), (t,), bwd)
 
@@ -517,9 +549,10 @@ def grid_to_tokens(x: Tensor) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeError(f"grid_to_tokens expects 3-d input, got {x.shape}")
     c, h, w = x.shape
+    kx = _key(x)
 
     def bwd(g, accum):
-        accum(x, g.T.reshape(c, h, w))
+        accum(kx, g.T.reshape(c, h, w))
 
     return _make(x.data.reshape(c, h * w).T, (x,), bwd)
 
@@ -544,25 +577,28 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> T
     if bias is not None:
         y = _add_into(y, bias.data.reshape(c, 1, 1))
     add_flops(18 * x.size)
+    kx, kk, kbias = _grad_keys(x, kernel, bias)
+    kd = kernel.data
+    bias_shape = None if bias is None else bias.shape
 
     def bwd(g, accum):
         # sum the bias on g as received: its layout sets the summation order
-        if bias is not None and bias.requires_grad:
-            accum(bias, _reduce_to(g.sum(axis=(1, 2)), bias.data.shape))
+        if kbias is not None:
+            accum(kbias, _reduce_to(g.sum(axis=(1, 2)), bias_shape))
         # grid_to_tokens hands on a channel-last view; the 18 tap products run faster on a C-ordered copy
         g = np.ascontiguousarray(g)
-        if kernel.requires_grad:
-            dk = np.empty_like(kernel.data)
+        if kk is not None:
+            dk = np.empty_like(kd)
             for i in range(3):
                 for j in range(3):
                     dk[:, i, j] = (g * pad[:, i : i + h, j : j + w]).sum(axis=(1, 2))
-            accum(kernel, dk)
-        if x.requires_grad:
+            accum(kk, dk)
+        if kx is not None:
             dpad = np.zeros_like(pad)
             for i in range(3):
                 for j in range(3):
-                    dpad[:, i : i + h, j : j + w] += kernel.data[:, i, j, None, None] * g
-            accum(x, dpad[:, 1 : 1 + h, 1 : 1 + w])
+                    dpad[:, i : i + h, j : j + w] += kd[:, i, j, None, None] * g
+            accum(kx, dpad[:, 1 : 1 + h, 1 : 1 + w])
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _make(y, inputs, bwd)
@@ -577,9 +613,10 @@ def pad_spatial(x: Tensor, h_out: int, w_out: int) -> Tensor:
         raise ShapeError(f"cannot pad {x.shape} down to ({h_out},{w_out})")
     if h_out == h and w_out == w:
         return x
+    kx = _key(x)
 
     def bwd(g, accum):
-        accum(x, g[:, :h, :w])
+        accum(kx, g[:, :h, :w])
 
     return _make(np.pad(x.data, ((0, 0), (0, h_out - h), (0, w_out - w))), (x,), bwd)
 
@@ -602,11 +639,10 @@ def extract_patches(x: Tensor, stride: int) -> Tensor:
         .reshape(hs * ws, c * stride * stride)
     )
 
+    kx = _key(x)
+
     def bwd(g, accum):
-        accum(
-            x,
-            g.reshape(hs, ws, c, stride, stride).transpose(2, 0, 3, 1, 4).reshape(c, h, w),
-        )
+        accum(kx, g.reshape(hs, ws, c, stride, stride).transpose(2, 0, 3, 1, 4).reshape(c, h, w))
 
     return _make(y, (x,), bwd)
 
@@ -621,10 +657,10 @@ def edge_gather_mean(v: Tensor, h: IncidenceMatrix) -> Tensor:
         raise ShapeError(f"edge_gather_mean expects ({h.n_nodes}, C) tokens, got {v.shape}")
     ne, k = h.members.shape
     add_flops(ne * k * v.shape[1])
+    kv = _key(v)
 
     def bwd(g, accum):
-        if v.requires_grad:
-            accum(v, h.sparse @ (g / k))
+        accum(kv, h.sparse @ (g / k))
 
     out = h.sparse_t @ v.data
     out /= k
@@ -643,10 +679,10 @@ def node_scatter_mean(e: Tensor, h: IncidenceMatrix) -> Tensor:
     out = h.sparse @ e.data
     out /= denom
     add_flops(h.members.size * e.shape[1])
+    ke = _key(e)
 
     def bwd(g, accum):
-        if e.requires_grad:
-            accum(e, h.sparse_t @ (g / denom))
+        accum(ke, h.sparse_t @ (g / denom))
 
     return _make(out, (e,), bwd)
 
@@ -664,11 +700,11 @@ def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
     m = z.max()
     lse = m + np.log(np.exp(z - m).sum())
     add_flops(4 * n)
+    kl, shape = _key(logits), logits.shape
 
     def bwd(g, accum):
-        if logits.requires_grad:
-            p = np.exp(z - lse)
-            p[target] -= 1.0
-            accum(logits, (np.asarray(g).item() * p).reshape(logits.data.shape))
+        p = np.exp(z - lse)
+        p[target] -= 1.0
+        accum(kl, (np.asarray(g).item() * p).reshape(shape))
 
     return _make(np.asarray(lse - z[target]), (logits,), bwd)

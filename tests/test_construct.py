@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import hgformer.construct as construct
 from hgformer.construct import (
     IncidenceMatrix,
     TokenSet,
@@ -14,9 +15,10 @@ from hgformer.construct import (
     knn_assign,
     sample_centers,
     score_tokens,
+    similarity,
     topology_dump,
 )
-from hgformer.tensor import ConfigError, NumericalError, Tensor
+from hgformer.tensor import ConfigError, FlopCounter, NumericalError, Tensor
 
 
 def make_tokens(nodes, cls=None, grid=None):
@@ -177,6 +179,34 @@ def test_four_token_derived_membership():
     npt.assert_array_equal(h.members, [[0, 2], [0, 2]])
     npt.assert_array_equal(h.d_v, [2, 0, 2, 0])
     npt.assert_array_equal(h.dense().sum(axis=0), [2, 2])
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(1, 6), st.sampled_from([0.5, 0.1, 3.7]))
+def test_dot_knn_ranks_like_the_scaled_float64_similarity(seed, n, c, unit):
+    rng = np.random.default_rng(seed)
+    # a few levels per channel: rows hold many ties and duplicate tokens
+    nodes = (rng.integers(-2, 3, (n, c)) * unit).astype(np.float32)
+    centers = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    k = int(rng.integers(1, n + 1))
+    with FlopCounter() as fc:
+        h = knn_assign(TokenSet.from_nodes(Tensor(nodes), (1, n)), centers, k)
+    assert fc.total == 2 * centers.size * n * c
+    scaled = similarity(nodes[centers], nodes, "dot")
+    assert scaled.dtype == np.float64
+    npt.assert_array_equal(h.members, _rank_members(scaled, centers, k))
+
+
+def test_dot_knn_ranks_in_the_token_dtype(monkeypatch):
+    seen = []
+
+    def spy(sims, *args):
+        seen.append(sims.dtype)
+        return _rank_members(sims, *args)
+
+    monkeypatch.setattr(construct, "_rank_members", spy)
+    nodes = np.random.default_rng(0).normal(size=(12, 4)).astype(np.float32)
+    knn_assign(TokenSet.from_nodes(Tensor(nodes), (3, 4)), np.array([1, 5]), 3)
+    assert seen == [np.float32]
 
 
 def test_cs_knn_identity_pattern():

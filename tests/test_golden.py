@@ -1,14 +1,16 @@
-"""Cross-version golden: seeded ``hgformer forward`` logits, compared byte for byte.
+"""Cross-version goldens: seeded ``hgformer forward`` logits and the SHA-256 of
+every parameter gradient after one seeded training sample pass, compared byte
+for byte.
 
 Every other determinism test compares two runs of one source tree. These
-files were written by an earlier tree, so a change that moves any logit by
-one rounding step fails here. Regenerate a file only for a change meant to
-move the numbers, with the command in its case below and the BLAS thread
-variables set to 1.
+files were written by an earlier tree, so a change that moves any logit or
+any gradient by one rounding step fails here. Regenerate a file only for a
+change meant to move the numbers, with the command in its case below and the
+BLAS thread variables set to 1.
 
 The golden pins the numpy and OpenBLAS it was made with: numpy 2.4.6 and
 OpenBLAS 0.3.31 on x86-64, one BLAS thread. The T@224 logits change with the
-BLAS thread count, so the run happens in a child process with one thread.
+BLAS thread count, so each run happens in a child process with one thread.
 Another numpy or BLAS build may round differently and fail this test with
 no fault in the program.
 """
@@ -41,3 +43,35 @@ def test_forward_logits_match_golden_bytes(tmp_path, golden, args):
     env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_THREAD)
     subprocess.run(cmd + ["forward", *args, "--seed", "0", "--out", str(out)], env=env, check=True, capture_output=True)
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+# prints {parameter name: SHA-256 of its gradient, or null for a parameter the
+# pass does not reach} as one JSON document; a golden is this script's stdout
+# for its case's arguments (variant, image size, drop-path rate)
+GRAD_HASHES = """
+import hashlib, json, sys
+import numpy as np
+from hgformer.model import HGFormer, scaled_k_schedule, variant
+from hgformer.training import _sample_pass
+name, size, rate = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+model = HGFormer(variant(name, n_classes=10, drop_path_rate=rate, k_schedule=scaled_k_schedule(size)), seed=0)
+image = np.random.default_rng(0).uniform(0.0, 1.0, (3, size, size)).astype(np.float32)
+_sample_pass(model, image, 3, False, (0, 0))
+grads = {n: p.grad if p.grad is None else hashlib.sha256(p.grad.tobytes()).hexdigest()
+         for n, p in model.named_parameters().items()}
+print(json.dumps(grads, indent=1))
+"""
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("grad_sha256_micro32.json", ["Micro", "32", "0.0"]),
+        ("grad_sha256_t64_droppath03.json", ["T", "64", "0.3"]),
+    ],
+    ids=["micro32", "t64-droppath0.3"],
+)
+def test_sample_pass_gradients_match_golden_bytes(golden, args):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_THREAD)
+    run = subprocess.run([sys.executable, "-c", GRAD_HASHES, *args], env=env, check=True, capture_output=True)
+    assert run.stdout == (DATA / golden).read_bytes()

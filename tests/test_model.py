@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +15,7 @@ from hgformer.model import (
     init_network_params,
     network_forward,
     patch_embed,
+    scaled_k_schedule,
     single_stage_variant,
     vanilla_attention_variant,
     variant,
@@ -333,6 +336,45 @@ def test_micro_training_forward_records_at_most_159_ops(rng):
     with Tape() as tape:
         m.forward(img, training=True, rng=np.random.default_rng(0))
     assert len(tape) <= 159
+
+
+def _retention_model(name):
+    """Micro@32, or T@64 with drop-path 0.3, and a seeded image of its size."""
+    size = {"Micro": 32, "T": 64}[name]
+    cfg = micro() if name == "Micro" else variant("T", n_classes=4, drop_path_rate=0.3, k_schedule=scaled_k_schedule(64))
+    image = np.random.default_rng(0).uniform(0, 1, (3, size, size)).astype(np.float32)
+    return HGFormer(cfg, seed=0), Tensor(image)
+
+
+@pytest.mark.parametrize("name", ["Micro", "T"])
+def test_backward_rules_capture_no_op_output(name):
+    # a rule keeps the arrays it reads and gradient keys; an op's output in a
+    # closure would keep every array it holds alive until backward
+    m, image = _retention_model(name)
+    leaves = {id(p) for p in m.named_parameters().values()} | {id(image)}
+    with Tape() as tape:
+        m.forward(image, training=True, rng=np.random.default_rng(0))
+    captured = [cell.cell_contents for _, rule in tape._records for cell in rule.__closure__ or ()]
+    assert [v.shape for v in captured if isinstance(v, Tensor) and id(v) not in leaves] == []
+
+
+def test_t64_training_forward_holds_under_5_5_mib():
+    # tracemalloc bytes alive after the forward, with tape and logits kept, are
+    # the arrays backward reads (4.6 MiB); a tape that kept every op output
+    # alive would hold 7.7 MiB
+    m, image = _retention_model("T")
+    m.forward(image)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            logits = m.forward(image, training=True, rng=np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 0 and logits.requires_grad
+    assert held < 5.5 * 2**20
 
 
 def test_attention_rows_audited_across_full_forward(rng):
