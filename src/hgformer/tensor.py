@@ -10,6 +10,9 @@ A backward rule captures the arrays it reads and a gradient key for each
 input, never an input :class:`Tensor`: a leaf is its own key, and a recorded
 output gets a data-free key of its own. So a value that no rule reads is
 freed as soon as the forward drops it, while the tape lives until backward.
+GELU's rule keeps its derivative, one array, in place of ``x`` and ``Phi(x)``.
+Backward adds a leaf's gradient into ``Tensor.grad`` as soon as the rule that
+produces it runs; only the gradients of recorded outputs wait in backward.
 
 Each forward op allocates its output once and writes its intermediates in
 place into buffers it allocated itself, never into an input's ``data`` or an
@@ -159,10 +162,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    @staticmethod
-    def active() -> "Tape | None":
-        return _tapes[-1] if _tapes else None
-
     def _record(self, backward: Callable) -> object:
         key = object()
         self._records.append((key, backward))
@@ -171,25 +170,30 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Add d(loss)/d(leaf) into ``Tensor.grad`` of every recorded leaf that requires grad.
 
-        Repeated calls without a reset add on top of existing gradients.
+        A leaf's contribution goes into its ``grad`` as soon as the rule that
+        produces it runs: ``grad = c`` if it was ``None``, else ``grad + c``,
+        out of place. So a leaf read by two ops on one tape ends a pass with
+        ``(T + c1) + c2``, not ``T + (c1 + c2)``. Repeated calls without a reset
+        add on top of existing gradients. If a rule raises partway, ``grad`` may
+        already hold part of that pass.
         """
         if loss.size != 1:
             raise NumericalError(f"backward needs a scalar loss, got shape {loss.shape}")
-        grads: dict[object, np.ndarray] = {_key(loss): np.ones_like(loss.data)}
+        pending: dict[object, np.ndarray] = {}
 
         def accum(key: object, g: np.ndarray) -> None:
-            prev = grads.get(key)
-            grads[key] = g if prev is None else prev + g
+            if not isinstance(key, Tensor):
+                prev = pending.get(key)
+                pending[key] = g if prev is None else prev + g
+            elif key.requires_grad:
+                g = np.asarray(g).reshape(key.data.shape)
+                key.grad = g if key.grad is None else key.grad + g
 
+        accum(_key(loss), np.ones_like(loss.data))
         for key, bwd in reversed(self._records):
-            g = grads.pop(key, None)
+            g = pending.pop(key, None)
             if g is not None:
                 bwd(np.asarray(g), accum)
-
-        for t, g in grads.items():
-            if isinstance(t, Tensor) and t.requires_grad:
-                g = np.asarray(g).reshape(t.data.shape)
-                t.grad = g if t.grad is None else t.grad + g
 
 
 class FlopCounter:
@@ -246,12 +250,16 @@ def _grad_keys(*inputs: Tensor | None) -> list:
     return [_key(t) if t is not None and t.requires_grad else None for t in inputs]
 
 
+def _recorded(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` records on a tape: one is active and an input needs a gradient."""
+    return bool(_tapes) and any(t.requires_grad for t in inputs)
+
+
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(_finite(data))
     out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = Tape.active()
-    if tape is not None and out.requires_grad:
-        out.key = tape._record(backward)
+    if _recorded(inputs):
+        out.key = _tapes[-1]._record(backward)
     return out
 
 
@@ -501,20 +509,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-form GELU: ``x * Phi(x)``."""
+    """Exact erf-form GELU: ``x * Phi(x)``. A recorded rule keeps one array, the derivative ``phi + x * pdf``."""
     xd = x.data
     phi = xd * xd.dtype.type(_INV_SQRT2)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     add_flops(6 * x.size)
+    dy = None
+    if _recorded((x,)):
+        dy = -0.5 * xd
+        dy *= xd
+        np.exp(dy, out=dy)
+        dy *= _INV_SQRT2PI
+        dy *= xd
+        dy += phi
     kx = _key(x)
 
     def bwd(g, accum):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        accum(kx, g * (phi + xd * pdf))
+        accum(kx, g * dy)
 
-    return _make(xd * phi, (x,), bwd)
+    phi *= xd
+    return _make(phi, (x,), bwd)
 
 
 # --------------------------------------------------------------------------

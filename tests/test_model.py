@@ -358,10 +358,8 @@ def test_backward_rules_capture_no_op_output(name):
     assert [v.shape for v in captured if isinstance(v, Tensor) and id(v) not in leaves] == []
 
 
-def test_t64_training_forward_holds_under_5_5_mib():
-    # tracemalloc bytes alive after the forward, with tape and logits kept, are
-    # the arrays backward reads (4.6 MiB); a tape that kept every op output
-    # alive would hold 7.7 MiB
+def _t64_training_forward_held():
+    """tracemalloc bytes alive after a T@64 training forward, with tape and logits kept."""
     m, image = _retention_model("T")
     m.forward(image)
     gc.collect()
@@ -374,7 +372,43 @@ def test_t64_training_forward_holds_under_5_5_mib():
     finally:
         tracemalloc.stop()
     assert len(tape) > 0 and logits.requires_grad
-    assert held < 5.5 * 2**20
+    return held
+
+
+def test_t64_training_forward_holds_under_5_5_mib():
+    # tracemalloc bytes alive after the forward, with tape and logits kept, are
+    # the arrays backward reads (4.0 MiB); a tape that kept every op output
+    # alive would hold 7.7 MiB
+    assert _t64_training_forward_held() < 5.5 * 2**20
+
+
+def test_t64_training_forward_holds_under_4_3_mib():
+    # GELU's rule keeps its derivative, one array; keeping x and Phi(x) held 4.6 MiB
+    assert _t64_training_forward_held() < 4.3 * 2**20
+
+
+def test_t64_backward_with_gradients_present_peaks_under_30_mib():
+    # each parameter gradient goes into Tensor.grad as its rule runs (18 MiB
+    # peak); holding the pass's gradients until backward ends, next to the
+    # ones already in Tensor.grad, peaked at 36 MiB
+    m, image = _retention_model("T")
+
+    def forward_loss():
+        with Tape() as tape:
+            loss = cross_entropy_logits(m.forward(image, training=True, rng=np.random.default_rng(0)), 1)
+        return tape, loss
+
+    tape, loss = forward_loss()
+    tape.backward(loss)
+    tape, loss = forward_loss()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_attention_rows_audited_across_full_forward(rng):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import erf
 
 from hgformer.construct import IncidenceMatrix
 from hgformer.model import HGFormer, variant
@@ -177,6 +178,35 @@ def test_gelu_values():
     npt.assert_allclose(gelu(Tensor([1.0], dtype=np.float64)).data[0], 0.84134, atol=1e-4)
 
 
+def test_gelu_rule_captures_one_array_shaped_like_x(rng):
+    # the rule keeps the derivative Phi(x) + x * pdf(x), not x and Phi(x)
+    x = Tensor(rng.uniform(-3, 3, (5, 7)), requires_grad=True)
+    with Tape() as tape:
+        gelu(x)
+    ((_, rule),) = tape._records
+    arrays = [c.cell_contents for c in rule.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.shape for a in arrays] == [x.shape]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_bytes_match_phi_plus_x_pdf(dtype):
+    # the kept derivative is formed in the order of g * (phi + x * pdf), so
+    # gradients keep their bytes, for zeros and subnormals too
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(dtype).smallest_subnormal
+    xd = np.concatenate([rng.normal(0, 3, 200), [0.0, -0.0, tiny, -tiny, 7 * tiny, 40.0, -40.0]]).astype(dtype)
+    g = rng.normal(size=xd.shape).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    with Tape() as tape:
+        y = gelu(x)
+        loss = sum_all(mul(y, Tensor(g)))
+    tape.backward(loss)
+    phi = 0.5 * (1.0 + erf(xd * xd.dtype.type(1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * xd * xd) * float(1.0 / np.sqrt(2.0 * np.pi))
+    assert y.data.tobytes() == (xd * phi).tobytes()
+    assert x.grad.tobytes() == (g * (phi + xd * pdf)).tobytes()
+
+
 # --------------------------------------------------------------------------
 # depthwise conv
 
@@ -282,6 +312,29 @@ def test_repeated_backward_accumulates():
     npt.assert_array_equal(x.grad, 2 * np.ones(3))
     AdamW({"x": x}).zero_grad()
     assert x.grad is None
+
+
+def test_leaf_read_twice_accumulates_each_contribution_into_grad_in_turn():
+    # backward adds each contribution into grad as its rule runs, the op
+    # recorded last first: (T + c1) + c2, which differs from T + (c1 + c2) here
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = add(sum_all(scale(x, 0.1)), sum_all(scale(x, 0.2)))
+    tape.backward(loss)
+    first = np.full(3, 0.2) + 0.1
+    assert x.grad.tobytes() == first.tobytes()
+    tape.backward(loss)
+    expected = (first + 0.2) + 0.1
+    assert expected.tobytes() != (first + (np.full(3, 0.2) + 0.1)).tobytes()
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_backward_seeds_a_loss_that_is_a_leaf():
+    x = Tensor(np.array(2.0), requires_grad=True)
+    with Tape() as tape:
+        pass
+    tape.backward(x)
+    assert x.grad.tobytes() == np.ones_like(x.data).tobytes()
 
 
 def test_ops_outside_tape_do_not_record():
@@ -488,6 +541,11 @@ def _stage0_incidence(rng, n_nodes=3136, n_edges=392, k=128):
     return h
 
 
+def _on_tape(call):
+    with Tape():
+        return call()
+
+
 def _budget_cases(rng):
     """T stage-0 shapes: (392, 3136) scores, (392, 32) / (3136, 32) queries and keys, (3136, 128) hidden."""
 
@@ -496,13 +554,15 @@ def _budget_cases(rng):
 
     scores, q, k, hidden = f32(392, 3136), f32(392, 32), f32(3136, 32), f32(3136, 128)
     gamma, beta, w, bias = f32(128), f32(128), f32(128, 128), f32(128)
+    hidden_tracked = Tensor(hidden.data, requires_grad=True)
     h = _stage0_incidence(rng)
     # (call, bytes of the arrays its backward keeps besides the output)
     return {
         "softmax_rows": (lambda: softmax_rows(scores), 0),
         "attention_scores": (lambda: attention_scores(q, k, 1), q.data.nbytes + k.data.nbytes),
         "layer_norm": (lambda: layer_norm(hidden, gamma, beta), hidden.data.nbytes),
-        "gelu": (lambda: gelu(hidden), hidden.data.nbytes),
+        "gelu": (lambda: gelu(hidden), 0),
+        "gelu_taped": (lambda: _on_tape(lambda: gelu(hidden_tracked)), hidden.data.nbytes),
         "matmul_bias": (lambda: matmul(hidden, w, bias), 0),
         "edge_gather_mean": (lambda: edge_gather_mean(k, h), 0),
     }
