@@ -11,8 +11,11 @@ input, never an input :class:`Tensor`: a leaf is its own key, and a recorded
 output gets a data-free key of its own. So a value that no rule reads is
 freed as soon as the forward drops it, while the tape lives until backward.
 GELU's rule keeps its derivative, one array, in place of ``x`` and ``Phi(x)``.
-Backward adds a leaf's gradient into ``Tensor.grad`` as soon as the rule that
-produces it runs; only the gradients of recorded outputs wait in backward.
+Backward consumes its tape: it drops each record as its rule runs, so the
+arrays a rule captured are freed then, and a tape runs backward once. It adds
+a leaf's gradient into ``Tensor.grad`` as soon as the rule that produces it
+runs, into a buffer the leaf owns and that later passes update in place; only
+the gradients of recorded outputs wait in backward.
 
 Each forward op allocates its output once and writes its intermediates in
 place into buffers it allocated itself, never into an input's ``data`` or an
@@ -97,7 +100,9 @@ class Tensor:
     """Dense row-major float32/float64 array, optionally tracked for autodiff.
 
     ``grad`` accumulates across backward passes until the optimizer's
-    ``zero_grad`` resets it to ``None``. Tensors produced by ops are treated as immutable; parameter
+    ``zero_grad`` resets it to ``None``. It is a buffer this tensor owns, shared
+    with no other array: backward copies a pass's first contribution into it and
+    adds later ones in place. Tensors produced by ops are treated as immutable; parameter
     updates happen between steps by rebinding ``data``. ``key`` is the gradient key a tape
     recorded this tensor under, ``None`` for a leaf.
     """
@@ -138,17 +143,20 @@ _flop_counters: list["FlopCounter"] = []
 
 
 class Tape:
-    """Execution-ordered record of ``(gradient key, backward rule)`` pairs; backward replays it in reverse.
+    """Execution-ordered record of ``(gradient key, backward rule)`` pairs; backward consumes it in reverse.
 
     Because records append in execution order, every op's inputs were produced
     earlier on the tape, which is the topological order backward relies on.
-    Each :meth:`backward` call replays the whole record, so repeated calls add
-    their gradients on top of each other. Tapes nest; ops record on the
-    innermost one.
+    :meth:`backward` pops each record before it runs its rule, so a tape runs
+    backward once and is empty afterwards; a second call raises
+    ``RuntimeError``. To accumulate over passes, record each on its own tape.
+    If a rule raises partway, the tape is partly consumed. Tapes nest; ops
+    record on the innermost one.
     """
 
     def __init__(self):
         self._records: list[tuple[object, Callable]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -171,14 +179,18 @@ class Tape:
         """Add d(loss)/d(leaf) into ``Tensor.grad`` of every recorded leaf that requires grad.
 
         A leaf's contribution goes into its ``grad`` as soon as the rule that
-        produces it runs: ``grad = c`` if it was ``None``, else ``grad + c``,
-        out of place. So a leaf read by two ops on one tape ends a pass with
-        ``(T + c1) + c2``, not ``T + (c1 + c2)``. Repeated calls without a reset
-        add on top of existing gradients. If a rule raises partway, ``grad`` may
-        already hold part of that pass.
+        produces it runs: a copy of ``c`` if it was ``None``, else ``grad + c``
+        written into ``grad`` unless ``c`` promotes its dtype. So a leaf read by
+        two ops on one tape ends a pass with ``(T + c1) + c2``, not
+        ``T + (c1 + c2)``. Passes on further tapes without a reset add on top of
+        existing gradients. If a rule raises partway, ``grad`` may already hold
+        part of that pass.
         """
         if loss.size != 1:
             raise NumericalError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._consumed:
+            raise RuntimeError("backward already ran on this tape; record each pass on a new tape")
+        self._consumed = True
         pending: dict[object, np.ndarray] = {}
 
         def accum(key: object, g: np.ndarray) -> None:
@@ -187,10 +199,13 @@ class Tape:
                 pending[key] = g if prev is None else prev + g
             elif key.requires_grad:
                 g = np.asarray(g).reshape(key.data.shape)
-                key.grad = g if key.grad is None else key.grad + g
+                # a copy: the same g may reach two inputs, or be a read-only view
+                key.grad = np.array(g) if key.grad is None else _add_into(key.grad, g)
 
         accum(_key(loss), np.ones_like(loss.data))
-        for key, bwd in reversed(self._records):
+        records = self._records
+        while records:
+            key, bwd = records.pop()
             g = pending.pop(key, None)
             if g is not None:
                 bwd(np.asarray(g), accum)

@@ -2,9 +2,9 @@
 
 Each image builds its own hypergraph, so a batch runs one sample at a time,
 each on its own tape, and every backward pass adds into ``Tensor.grad`` in
-sample order. The batch-averaged gradient is clipped to a global L2 norm of
-``GRAD_CLIP_NORM`` before every optimizer step; a non-finite norm aborts the
-run before the step.
+sample order. The step scales those buffers in place to the batch average and
+clips it to a global L2 norm of ``GRAD_CLIP_NORM`` before every optimizer
+step; a non-finite norm aborts the run before the step.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class AdamW:
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Rescale ``grads`` in place to a global L2 norm of at most ``max_norm``.
+    """Rescale each array of ``grads`` in place to a global L2 norm of at most ``max_norm``.
 
     Returns the norm before clipping. A non-finite norm leaves the gradients
     untouched, so the failure surfaces downstream with its own diagnostics.
@@ -142,8 +142,8 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if np.isfinite(norm) and norm > max_norm:
         coef = max_norm / norm
-        for name, g in grads.items():
-            grads[name] = g * coef
+        for g in grads.values():
+            g *= coef
     return norm
 
 
@@ -229,12 +229,12 @@ def train(
                 ep_loss += loss_val
                 ep_hits += hit
             inv_b = 1.0 / len(idxs)
-            grads = {name: p.grad * inv_b for name, p in named.items() if p.grad is not None}
+            grads = {name: p.grad for name, p in named.items() if p.grad is not None}
+            for g in grads.values():
+                g *= inv_b
             last_gnorm = clip_grad_norm(grads, GRAD_CLIP_NORM)
             if not np.isfinite(last_gnorm):
                 raise aborted("non-finite gradient norm")
-            for name, g in grads.items():
-                named[name].grad = g
             last_lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
             optimizer.step(last_lr)
             optimizer.zero_grad()

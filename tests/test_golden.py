@@ -1,6 +1,6 @@
 """Cross-version goldens: seeded ``hgformer forward`` logits and the SHA-256 of
-every parameter gradient after one seeded training sample pass, compared byte
-for byte.
+every parameter gradient after one or two seeded training sample passes,
+compared byte for byte.
 
 Every other determinism test compares two runs of one source tree. These
 files were written by an earlier tree, so a change that moves any logit or
@@ -46,17 +46,21 @@ def test_forward_logits_match_golden_bytes(tmp_path, golden, args):
 
 
 # prints {parameter name: SHA-256 of its gradient, or null for a parameter the
-# pass does not reach} as one JSON document; a golden is this script's stdout
-# for its case's arguments (variant, image size, drop-path rate)
+# passes do not reach} as one JSON document; a golden is this script's stdout
+# for its case's arguments (variant, image size, drop-path rate, passes). Pass
+# i draws its image from one seeded generator and uses label 3 + i, so a
+# second pass adds a second sample's gradients into the first one's
 GRAD_HASHES = """
 import hashlib, json, sys
 import numpy as np
 from hgformer.model import HGFormer, scaled_k_schedule, variant
 from hgformer.training import _sample_pass
-name, size, rate = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
+name, size, rate, passes = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
 model = HGFormer(variant(name, n_classes=10, drop_path_rate=rate, k_schedule=scaled_k_schedule(size)), seed=0)
-image = np.random.default_rng(0).uniform(0.0, 1.0, (3, size, size)).astype(np.float32)
-_sample_pass(model, image, 3, False, (0, 0))
+rng = np.random.default_rng(0)
+for i in range(passes):
+    image = rng.uniform(0.0, 1.0, (3, size, size)).astype(np.float32)
+    _sample_pass(model, image, 3 + i, False, (0, i))
 grads = {n: p.grad if p.grad is None else hashlib.sha256(p.grad.tobytes()).hexdigest()
          for n, p in model.named_parameters().items()}
 print(json.dumps(grads, indent=1))
@@ -66,10 +70,11 @@ print(json.dumps(grads, indent=1))
 @pytest.mark.parametrize(
     "golden, args",
     [
-        ("grad_sha256_micro32.json", ["Micro", "32", "0.0"]),
-        ("grad_sha256_t64_droppath03.json", ["T", "64", "0.3"]),
+        ("grad_sha256_micro32.json", ["Micro", "32", "0.0", "1"]),
+        ("grad_sha256_t64_droppath03.json", ["T", "64", "0.3", "1"]),
+        ("grad_sha256_t64_droppath03_two_passes.json", ["T", "64", "0.3", "2"]),
     ],
-    ids=["micro32", "t64-droppath0.3"],
+    ids=["micro32", "t64-droppath0.3", "t64-droppath0.3-two-passes"],
 )
 def test_sample_pass_gradients_match_golden_bytes(golden, args):
     env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_THREAD)

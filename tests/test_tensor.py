@@ -304,11 +304,17 @@ def test_backward_requires_scalar_loss():
 
 
 def test_repeated_backward_accumulates():
+    # passes accumulate across tapes; backward consumes its tape, so a second
+    # call on it raises instead of adding nothing or adding the pass again
     x = t64(np.ones(3))
-    with Tape() as tape:
-        loss = sum_all(x)
-    tape.backward(loss)
-    tape.backward(loss)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = sum_all(x)
+        tape.backward(loss)
+    npt.assert_array_equal(x.grad, 2 * np.ones(3))
+    assert len(tape) == 0
+    with pytest.raises(RuntimeError, match="already ran"):
+        tape.backward(loss)
     npt.assert_array_equal(x.grad, 2 * np.ones(3))
     AdamW({"x": x}).zero_grad()
     assert x.grad is None
@@ -318,15 +324,60 @@ def test_leaf_read_twice_accumulates_each_contribution_into_grad_in_turn():
     # backward adds each contribution into grad as its rule runs, the op
     # recorded last first: (T + c1) + c2, which differs from T + (c1 + c2) here
     x = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        loss = add(sum_all(scale(x, 0.1)), sum_all(scale(x, 0.2)))
-    tape.backward(loss)
+
+    def one_pass():
+        with Tape() as tape:
+            loss = add(sum_all(scale(x, 0.1)), sum_all(scale(x, 0.2)))
+        tape.backward(loss)
+
+    one_pass()
     first = np.full(3, 0.2) + 0.1
     assert x.grad.tobytes() == first.tobytes()
-    tape.backward(loss)
+    one_pass()
     expected = (first + 0.2) + 0.1
     assert expected.tobytes() != (first + (np.full(3, 0.2) + 0.1)).tobytes()
     assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_add_gives_each_leaf_a_gradient_buffer_of_its_own():
+    # add hands one g to both inputs; a grad that aliased it would carry an
+    # in-place add into one leaf over to the other
+    x, y = t64(np.ones(3)), t64(np.ones(3))
+    tape_grad(lambda: sum_all(add(x, y)), x, y)
+    assert not np.shares_memory(x.grad, y.grad)
+    tape_grad(lambda: sum_all(scale(x, 2.0)), x)
+    npt.assert_array_equal(x.grad, np.full(3, 3.0))
+    npt.assert_array_equal(y.grad, np.ones(3))
+
+
+def test_mean_rows_leaf_gradient_is_writeable_and_accumulates():
+    # mean_rows hands on a read-only broadcast view; grad owns a copy of it
+    x = t64(np.ones((4, 3)))
+    tape_grad(lambda: sum_all(mean_rows(x)), x)
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    tape_grad(lambda: sum_all(mean_rows(x)), x)
+    npt.assert_array_equal(x.grad, np.full((4, 3), 0.5))
+
+
+@pytest.mark.parametrize("first, second", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_mixed_precision_contributions_keep_the_out_of_place_dtype_and_bytes(first, second):
+    # a float64 contribution into a float32 grad promotes as grad + c does;
+    # a float32 one into a float64 grad adds in place with the same bytes
+    rng = np.random.default_rng(7)
+    data = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+    weights = {dt: Tensor(rng.uniform(-1, 1, (4, 2)), dtype=dt) for dt in (np.float32, np.float64)}
+
+    def contribution(leaf, dt):
+        return tape_grad(lambda: sum_all(matmul(leaf, weights[dt])), leaf)[0]
+
+    c1 = contribution(Tensor(data, requires_grad=True), first)
+    c2 = contribution(Tensor(data, requires_grad=True), second)
+    assert (c1.dtype, c2.dtype) == (np.dtype(first), np.dtype(second))
+    x = Tensor(data, requires_grad=True)
+    contribution(x, first)
+    contribution(x, second)
+    expected = c1 + c2
+    assert x.grad.dtype == expected.dtype and x.grad.tobytes() == expected.tobytes()
 
 
 def test_backward_seeds_a_loss_that_is_a_leaf():
