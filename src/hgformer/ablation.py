@@ -100,6 +100,15 @@ class AblationTable:
         return buf.getvalue()
 
 
+def check_ablation(arms: list[tuple[str, NetworkConfig]], n_seeds: int) -> None:
+    """Raise ``ConfigError`` unless ``run_ablation`` can train these arms."""
+    if len(arms) < 2:
+        raise ConfigError("need at least two ablation arms")
+    if n_seeds < 1:
+        raise ConfigError(f"need at least one seed per arm, got {n_seeds}")
+    _assert_single_factor(arms)
+
+
 def run_ablation(
     arms: list[tuple[str, NetworkConfig]],
     dataset: ToyDataset,
@@ -108,11 +117,7 @@ def run_ablation(
     log=None,
 ) -> AblationTable:
     """Train every arm ``n_seeds`` times on the shared dataset and seed set."""
-    if len(arms) < 2:
-        raise ConfigError("need at least two ablation arms")
-    if n_seeds < 1:
-        raise ConfigError(f"need at least one seed per arm, got {n_seeds}")
-    _assert_single_factor(arms)
+    check_ablation(arms, n_seeds)
     rows: list[AblationRow] = []
     reports: list[RunReport] = []
     for arm_name, cfg in arms:

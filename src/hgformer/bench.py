@@ -87,6 +87,14 @@ def construction_complexity_scan(
     return scan
 
 
+def check_bench_args(image_size: int, batch: int, warmup_iters: int, timed_iters: int) -> None:
+    """Raise ``ConfigError`` unless ``bench_throughput`` can run with these sizes."""
+    if batch < 1 or timed_iters < 1:
+        raise ConfigError(f"bench needs batch and timed_iters of at least 1, got {batch} and {timed_iters}")
+    if image_size < 1 or warmup_iters < 0:
+        raise ConfigError(f"bench needs image_size >= 1 and warmup_iters >= 0, got {image_size} and {warmup_iters}")
+
+
 def bench_throughput(
     net_cfg: NetworkConfig,
     image_size: int = 32,
@@ -105,10 +113,7 @@ def bench_throughput(
     Returns ``{"deterministic": ..., "timing": ...}``; only the second half
     varies between runs, so seeded outputs stay byte-stable.
     """
-    if batch < 1 or timed_iters < 1:
-        raise ConfigError(f"bench needs batch and timed_iters of at least 1, got {batch} and {timed_iters}")
-    if image_size < 1 or warmup_iters < 0:
-        raise ConfigError(f"bench needs image_size >= 1 and warmup_iters >= 0, got {image_size} and {warmup_iters}")
+    check_bench_args(image_size, batch, warmup_iters, timed_iters)
     model = HGFormer(net_cfg, seed=seed)
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 1.0, (batch, 3, image_size, image_size)).astype(np.float32)

@@ -2,7 +2,8 @@
 
 Subcommands: ``topology``, ``forward``, ``gradcheck``, ``train``, ``ablate``,
 ``bench``. Exit codes: 0 success, 1 validation error (bad flags, malformed
-files), 2 numerical failure (gradient gate, non-finite loss).
+files, unwritable output paths), 2 numerical failure (gradient gate,
+non-finite loss).
 
 Every stochastic subcommand takes ``--seed`` and its primary output files are
 byte-identical across reruns; wall-clock measurements go to separate
@@ -18,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .ablation import ARM_GROUPS, ablation_arms, run_ablation
-from .bench import attention_complexity_scan, bench_throughput, construction_complexity_scan
+from .ablation import ARM_GROUPS, ablation_arms, check_ablation, run_ablation
+from .bench import attention_complexity_scan, bench_throughput, check_bench_args, construction_complexity_scan
 from .checkpoint import load_tensors
 from .construct import (
     CONSTRUCT_ALGOS,
@@ -179,6 +180,7 @@ def cmd_train(args) -> int:
         early_stop_val_acc=args.early_stop_acc,
     )
     dataset = make_toy_dataset(_dataset_from_args(args))
+    os.makedirs(args.out, exist_ok=True)  # an unwritable path fails before training
     report = train(net_cfg, dataset, train_cfg, out_dir=args.out, log=print)
     _write_json(os.path.join(args.out, "run_report.json"), report.deterministic_dict())
     _write_json(os.path.join(args.out, "timing.json"), report.timing_dict())
@@ -202,6 +204,8 @@ def cmd_ablate(args) -> int:
         early_stop_val_acc=args.early_stop_acc,
     )
     dataset = make_toy_dataset(_dataset_from_args(args))
+    check_ablation(arms, args.seeds)
+    os.makedirs(args.out, exist_ok=True)  # an unwritable path fails before training
     table = run_ablation(arms, dataset, train_cfg, n_seeds=args.seeds, log=print)
     _write_text(os.path.join(args.out, "ablation.csv"), table.to_csv())
     _write_text(os.path.join(args.out, "ablation_det.csv"), table.deterministic_csv())
@@ -213,6 +217,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = variant(args.variant, n_classes=args.n_classes)
+    check_bench_args(args.image_size, args.batch, args.warmup_iters, args.timed_iters)
+    os.makedirs(args.out, exist_ok=True)  # an unwritable path fails before timing
     result = bench_throughput(
         cfg,
         image_size=args.image_size,
@@ -328,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

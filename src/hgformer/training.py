@@ -4,7 +4,9 @@ Each image builds its own hypergraph, so a batch runs one sample at a time,
 each on its own tape, and every backward pass adds into ``Tensor.grad`` in
 sample order. The step scales those buffers in place to the batch average and
 clips it to a global L2 norm of ``GRAD_CLIP_NORM`` before every optimizer
-step; a non-finite norm aborts the run before the step.
+step; a non-finite norm aborts the run before the step. After the step,
+``zero_grad`` releases the batch's gradients before the next batch starts:
+nothing in ``train`` still refers to them.
 """
 
 from __future__ import annotations
@@ -167,6 +169,20 @@ def _sample_pass(model: HGFormer, image: np.ndarray, label: int, flip: bool, rng
     return loss.data.item(), int(np.argmax(logits.data)) == int(label)
 
 
+def _mean_and_clip(named: dict[str, Tensor], batch_size: int) -> float:
+    """Scale each ``Tensor.grad`` in place from the batch sum to the batch mean, then clip.
+
+    Returns the norm before clipping. The gradient arrays are named only by
+    this function's locals, so once the step's ``zero_grad`` has run nothing
+    keeps them alive into the next batch, the val pass or the checkpoint write.
+    """
+    inv_b = 1.0 / batch_size
+    grads = {name: p.grad for name, p in named.items() if p.grad is not None}
+    for g in grads.values():
+        g *= inv_b
+    return clip_grad_norm(grads, GRAD_CLIP_NORM)
+
+
 def evaluate(model: HGFormer, images: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy in eval mode."""
     n = labels.shape[0]
@@ -228,11 +244,7 @@ def train(
                     raise aborted(exc) from exc
                 ep_loss += loss_val
                 ep_hits += hit
-            inv_b = 1.0 / len(idxs)
-            grads = {name: p.grad for name, p in named.items() if p.grad is not None}
-            for g in grads.values():
-                g *= inv_b
-            last_gnorm = clip_grad_norm(grads, GRAD_CLIP_NORM)
+            last_gnorm = _mean_and_clip(named, len(idxs))
             if not np.isfinite(last_gnorm):
                 raise aborted("non-finite gradient norm")
             last_lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)

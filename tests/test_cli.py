@@ -146,6 +146,28 @@ def test_malformed_number_exits_1_with_one_line(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["topology", "--ne", 8, "--k", 4],
+        ["forward"],
+        ["gradcheck", "--batch", 1],
+        ["train"],
+        ["ablate", "--arms", "architecture"],
+        ["bench"],
+    ],
+    ids=["topology", "forward", "gradcheck", "train", "ablate", "bench"],
+)
+def test_output_path_under_a_regular_file_exits_1_with_one_line(tmp_path, capsys, args):
+    # train, ablate and bench create --out before any work, so they fail at once
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"kept")
+    assert run(args + ["--out", blocker / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize("shape", [(3, 0, 0), (3, 0, 16), (0, 16, 16)])
 def test_forward_empty_input_image_exits_1_with_one_line(tmp_path, capsys, shape):
     image = tmp_path / "empty.ckpt"

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -147,6 +149,36 @@ def test_non_finite_gradient_aborts_before_the_step(monkeypatch):
     assert "last_lr=" in msg and "last_grad_norm=inf" in msg
     assert len(steps) == 1
     assert all(np.isfinite(v).all() for v in steps[0].values())
+
+
+def test_step_releases_the_batch_gradients_before_the_next_pass_and_the_val_pass(monkeypatch):
+    # a name in train() that still refers to a step's gradient arrays keeps
+    # them alive while the next batch's backward allocates a fresh set
+    ds = tiny_dataset()
+    orig_pass, orig_step, orig_eval = training_mod._sample_pass, AdamW.step, training_mod.evaluate
+    refs: list[weakref.ref] = []
+    alive: dict[str, list[int]] = {"pass": [], "evaluate": []}
+
+    def spy_step(self, lr):
+        orig_step(self, lr)
+        refs[:] = [weakref.ref(p.grad) for p in self.params.values() if p.grad is not None]
+
+    def spy_pass(*args):
+        if refs:
+            alive["pass"].append(sum(r() is not None for r in refs))
+        return orig_pass(*args)
+
+    def spy_eval(*args):
+        alive["evaluate"].append(sum(r() is not None for r in refs))
+        return orig_eval(*args)
+
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    monkeypatch.setattr(training_mod, "_sample_pass", spy_pass)
+    monkeypatch.setattr(training_mod, "evaluate", spy_eval)
+    train(variant("Micro", n_classes=2), ds, TrainConfig(epochs=2, batch_size=4, seed=0))
+    assert refs
+    assert alive["pass"] == [0] * (3 * 4)  # every pass after the first step
+    assert alive["evaluate"] == [0, 0]
 
 
 def test_nan_loss_aborts_with_diagnostics():
