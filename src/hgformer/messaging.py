@@ -33,6 +33,10 @@ from .tensor import (
     tokens_to_grid,
 )
 
+# hidden width of the node-side feedforward, in multiples of the channels
+MLP_RATIO = 4
+
+
 @dataclass
 class LinearParams:
     weight: Tensor
@@ -114,7 +118,6 @@ def init_hga_params(
     rng: np.random.Generator,
     dtype=np.float32,
     with_ffn: bool = False,
-    mlp_ratio: int = 4,
     std: float = 0.02,
 ) -> HgaParams:
     if channels % n_heads:
@@ -134,7 +137,7 @@ def init_hga_params(
 
     ffn = None
     if with_ffn:
-        hidden = mlp_ratio * channels
+        hidden = MLP_RATIO * channels
         ffn = FeedForwardParams(
             norm=norm(),
             fc1=lin(channels, hidden),

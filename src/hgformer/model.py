@@ -9,8 +9,6 @@ and adds the result back onto the node stream under a stochastic-depth gate.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -51,6 +49,12 @@ MESSAGING_MODES = ("dual", "single")
 # the reference per-stage neighbor counts, sized for 224x224 inputs
 PAPER_K_SCHEDULE = (128, 64, 32, 8)
 PAPER_IMAGE_SIZE = 224
+# fixed across every variant: per-stage channel widening, per-stage hyperedge
+# budget ``ceil(ratio * N)`` and the attention head width (the feedforward
+# expansion is messaging.MLP_RATIO)
+CHANNEL_MULTIPLIERS = (1, 2, 5, 8)
+NE_RATIOS = (0.125, 0.25, 0.5, 1.0)
+HEAD_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -72,28 +76,24 @@ class NetworkConfig:
     depths: tuple[int, int, int, int]
     n_classes: int = 1000
     drop_path_rate: float = 0.0
-    channel_multipliers: tuple[int, int, int, int] = (1, 2, 5, 8)
-    ne_ratios: tuple[float, float, float, float] = (0.125, 0.25, 0.5, 1.0)
     k_schedule: tuple[int, int, int, int] = PAPER_K_SCHEDULE
     construct_algo: str = "cs_knn"
     distance: str = "dot"
     attention_mode: str = "hga"
     messaging_mode: str = "dual"
-    mlp_ratio: int = 4
-    head_dim: int = 32
 
     def stages(self) -> tuple[StageConfig, ...]:
         out = []
         for i in range(4):
-            c = self.base_channels * self.channel_multipliers[i]
-            heads = max(1, c // self.head_dim)
+            c = self.base_channels * CHANNEL_MULTIPLIERS[i]
+            heads = max(1, c // HEAD_DIM)
             if c % heads:
                 raise ConfigError(f"stage {i} channels {c} not divisible by {heads} heads")
             out.append(
                 StageConfig(
                     depth=self.depths[i],
                     channels=c,
-                    ne_ratio=self.ne_ratios[i],
+                    ne_ratio=NE_RATIOS[i],
                     k_neighbors=self.k_schedule[i],
                     downsample=4 if i == 0 else 2,
                     n_heads=heads,
@@ -111,10 +111,6 @@ class NetworkConfig:
         if not 0.0 <= self.drop_path_rate <= 1.0:
             raise ConfigError("drop_path_rate must lie in [0, 1]")
         self.stages()
-
-    def hash(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def scaled_k_schedule(image_size: int) -> tuple[int, int, int, int]:
@@ -246,7 +242,7 @@ def init_network_params(cfg: NetworkConfig, seed: int = 0, dtype=np.float32) -> 
                 BlockParams(
                     cls_proj=LinearParams(weight=w((c, c)), bias=zeros(c)),
                     n2e=init_hga_params(c, stage.n_heads, rng, dtype=dtype, with_ffn=False),
-                    e2n=init_hga_params(c, stage.n_heads, rng, dtype=dtype, with_ffn=True, mlp_ratio=cfg.mlp_ratio),
+                    e2n=init_hga_params(c, stage.n_heads, rng, dtype=dtype, with_ffn=True),
                 )
             )
         stages.append(StageParams(embed=embed, blocks=blocks))
