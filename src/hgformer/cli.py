@@ -168,9 +168,8 @@ def _dataset_from_args(args) -> ToyDatasetSpec:
     )
 
 
-def cmd_train(args) -> int:
-    net_cfg = variant(args.variant, n_classes=args.n_classes)
-    train_cfg = TrainConfig(
+def _train_config_from_args(args) -> TrainConfig:
+    return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         base_lr=args.lr,
@@ -179,6 +178,11 @@ def cmd_train(args) -> int:
         seed=args.seed,
         early_stop_val_acc=args.early_stop_acc,
     )
+
+
+def cmd_train(args) -> int:
+    net_cfg = variant(args.variant, n_classes=args.n_classes)
+    train_cfg = _train_config_from_args(args)
     dataset = make_toy_dataset(_dataset_from_args(args))
     os.makedirs(args.out, exist_ok=True)  # an unwritable path fails before training
     report = train(net_cfg, dataset, train_cfg, out_dir=args.out, log=print)
@@ -194,15 +198,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     base = variant(args.variant, n_classes=args.n_classes)
     arms = ablation_arms(args.arms, base)
-    train_cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        base_lr=args.lr,
-        weight_decay=args.weight_decay,
-        warmup_epochs=args.warmup_epochs,
-        seed=args.seed,
-        early_stop_val_acc=args.early_stop_acc,
-    )
+    train_cfg = _train_config_from_args(args)
     dataset = make_toy_dataset(_dataset_from_args(args))
     check_ablation(arms, args.seeds)
     os.makedirs(args.out, exist_ok=True)  # an unwritable path fails before training

@@ -4,9 +4,13 @@ compared byte for byte.
 
 Every other determinism test compares two runs of one source tree. These
 files were written by an earlier tree, so a change that moves any logit or
-any gradient by one rounding step fails here. Regenerate a file only for a
-change meant to move the numbers, with the command in its case below and the
-BLAS thread variables set to 1.
+any gradient by one rounding step fails here. Regenerate the files only for a
+change meant to move the numbers, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites all five from the same child-process commands, with the same
+one-thread environment, that the tests compare.
 
 The golden pins the numpy and OpenBLAS it was made with: numpy 2.4.6 and
 OpenBLAS 0.3.31 on x86-64, one BLAS thread. The T@224 logits change with the
@@ -18,6 +22,7 @@ no fault in the program.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,20 +34,28 @@ SRC = Path(hgformer.__file__).resolve().parents[1]
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize(
-    "golden, args",
-    [
-        ("forward_logits_micro32.json", ["--variant", "Micro"]),
-        ("forward_logits_t224.json", ["--variant", "T", "--image-size", "224"]),
-    ],
-    ids=["micro32", "t224"],
-)
-def test_forward_logits_match_golden_bytes(tmp_path, golden, args):
-    out = tmp_path / golden
-    cmd = [sys.executable, "-c", "import sys; from hgformer.cli import main; sys.exit(main(sys.argv[1:]))"]
+FORWARD_CASES = {
+    "micro32": ("forward_logits_micro32.json", ["--variant", "Micro"]),
+    "t224": ("forward_logits_t224.json", ["--variant", "T", "--image-size", "224"]),
+}
+CLI = "import sys; from hgformer.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_one_thread(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python argv...`` on this source tree in a child with one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_THREAD)
-    subprocess.run(cmd + ["forward", *args, "--seed", "0", "--out", str(out)], env=env, check=True, capture_output=True)
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    return subprocess.run([sys.executable, *argv], env=env, check=True, capture_output=True)
+
+
+def forward_logits_bytes(args: list[str], tmp_dir: Path) -> bytes:
+    out = Path(tmp_dir) / "logits.json"
+    _run_one_thread(["-c", CLI, "forward", *args, "--seed", "0", "--out", str(out)])
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("golden, args", FORWARD_CASES.values(), ids=FORWARD_CASES.keys())
+def test_forward_logits_match_golden_bytes(tmp_path, golden, args):
+    assert forward_logits_bytes(args, tmp_path) == (DATA / golden).read_bytes()
 
 
 # prints {parameter name: SHA-256 of its gradient, or null for a parameter the
@@ -67,16 +80,32 @@ print(json.dumps(grads, indent=1))
 """
 
 
-@pytest.mark.parametrize(
-    "golden, args",
-    [
-        ("grad_sha256_micro32.json", ["Micro", "32", "0.0", "1"]),
-        ("grad_sha256_t64_droppath03.json", ["T", "64", "0.3", "1"]),
-        ("grad_sha256_t64_droppath03_two_passes.json", ["T", "64", "0.3", "2"]),
-    ],
-    ids=["micro32", "t64-droppath0.3", "t64-droppath0.3-two-passes"],
-)
+GRAD_CASES = {
+    "micro32": ("grad_sha256_micro32.json", ["Micro", "32", "0.0", "1"]),
+    "t64-droppath0.3": ("grad_sha256_t64_droppath03.json", ["T", "64", "0.3", "1"]),
+    "t64-droppath0.3-two-passes": ("grad_sha256_t64_droppath03_two_passes.json", ["T", "64", "0.3", "2"]),
+}
+
+
+def grad_hashes_bytes(args: list[str]) -> bytes:
+    return _run_one_thread(["-c", GRAD_HASHES, *args]).stdout
+
+
+@pytest.mark.parametrize("golden, args", GRAD_CASES.values(), ids=GRAD_CASES.keys())
 def test_sample_pass_gradients_match_golden_bytes(golden, args):
-    env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_THREAD)
-    run = subprocess.run([sys.executable, "-c", GRAD_HASHES, *args], env=env, check=True, capture_output=True)
-    assert run.stdout == (DATA / golden).read_bytes()
+    assert grad_hashes_bytes(args) == (DATA / golden).read_bytes()
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from the current tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for golden, args in FORWARD_CASES.values():
+            (DATA / golden).write_bytes(forward_logits_bytes(args, Path(tmp)))
+            print(f"wrote {DATA / golden}")
+    for golden, args in GRAD_CASES.values():
+        (DATA / golden).write_bytes(grad_hashes_bytes(args))
+        print(f"wrote {DATA / golden}")
+
+
+if __name__ == "__main__":
+    regenerate()
