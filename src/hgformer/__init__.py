@@ -29,7 +29,6 @@ from .model import (
     NetworkConfig,
     StageConfig,
     block_forward,
-    compute_class_token,
     network_forward,
     patch_embed,
     single_stage_variant,

@@ -4,6 +4,8 @@ Four stages halve the resolution (the first quarters it) while widening the
 channels by the 1/2/5/8 multipliers. Every block rebuilds its hypergraph from
 the current tokens, runs node-to-hyperedge and hyperedge-to-node messaging,
 and adds the result back onto the node stream under a stochastic-depth gate.
+The class token that CS-KNN scores nodes against is the mean of the tokens
+the block groups; it holds no parameters.
 """
 
 from __future__ import annotations
@@ -181,7 +183,6 @@ class PatchEmbedParams:
 
 @dataclass
 class BlockParams:
-    cls_proj: LinearParams
     n2e: HgaParams
     e2n: HgaParams
 
@@ -240,7 +241,6 @@ def init_network_params(cfg: NetworkConfig, seed: int = 0, dtype=np.float32) -> 
         for _ in range(stage.depth):
             blocks.append(
                 BlockParams(
-                    cls_proj=LinearParams(weight=w((c, c)), bias=zeros(c)),
                     n2e=init_hga_params(c, stage.n_heads, rng, dtype=dtype, with_ffn=False),
                     e2n=init_hga_params(c, stage.n_heads, rng, dtype=dtype, with_ffn=True),
                 )
@@ -274,19 +274,6 @@ def patch_embed(image: Tensor, p: PatchEmbedParams) -> TokenSet:
     return TokenSet.from_nodes(tok, (ph // s, pw // s))
 
 
-def compute_class_token(tokens: TokenSet, proj: LinearParams) -> Tensor:
-    """Class token as a fixed projection of the global node mean.
-
-    Computed on detached values: it only feeds the discrete construction
-    scorer, which no gradient flows through. ``proj`` therefore receives no
-    gradient, and training leaves it at its random initialization.
-    """
-    cls = tokens.nodes.data.mean(axis=0, keepdims=True) @ proj.weight.data
-    if proj.bias is not None:
-        cls = cls + proj.bias.data
-    return Tensor(cls)
-
-
 def block_forward(
     tokens: TokenSet,
     stage: StageConfig,
@@ -297,9 +284,11 @@ def block_forward(
 ) -> TokenSet:
     """One messaging block; preserves token count and channels.
 
-    The hypergraph is rebuilt from the current tokens on every call. The
-    messaging result joins the node stream through a residual connection, so
-    a fully dropped block (stochastic-depth rate 1) is the identity.
+    The hypergraph is rebuilt from the current tokens on every call, scored
+    against their class token: the node mean that :meth:`TokenSet.from_nodes`
+    computes. The messaging result joins the node stream through a residual
+    connection, so a fully dropped block (stochastic-depth rate 1) is the
+    identity.
     """
     v = tokens.nodes
     grid = tokens.grid
@@ -314,10 +303,8 @@ def block_forward(
     n = v.shape[0]
     ne = max(1, math.ceil(stage.ne_ratio * n))
     k = min(stage.k_neighbors, n)
-    cls = compute_class_token(tokens, bp.cls_proj)
-    scored = TokenSet(nodes=v, class_token=cls, grid=grid)
     with section("construction"):
-        h = build_incidence(scored, cfg.construct_algo, ne, k, seed=seed, distance=cfg.distance)
+        h = build_incidence(tokens, cfg.construct_algo, ne, k, seed=seed, distance=cfg.distance)
     with section("messaging"):
         e1 = hga_n2e(v, h, bp.n2e, drop=drop)
         if cfg.messaging_mode == "single":
@@ -325,7 +312,7 @@ def block_forward(
         else:
             upd = hga_e2n(e1, h, grid, bp.e2n, drop=drop)
         out = add(v, drop(upd))
-    return TokenSet(nodes=out, class_token=cls, grid=grid)
+    return TokenSet.from_nodes(out, grid)
 
 
 def network_forward(

@@ -238,6 +238,41 @@ def test_forward_checkpoint_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+PRE_CLS_PROJ_ENTRY = "net.stages.0.blocks.0.cls_proj.weight"
+
+
+def _edit_extra(state):
+    # checkpoints written while blocks held a class-token projection carry it
+    state[PRE_CLS_PROJ_ENTRY] = np.zeros((16, 16), dtype=np.float32)
+    return PRE_CLS_PROJ_ENTRY
+
+
+def _edit_missing(state):
+    del state["net.head.fc.bias"]
+    return "net.head.fc.bias"
+
+
+def _edit_shape(state):
+    state["net.head.fc.weight"] = np.zeros((128, 3), dtype=np.float32)
+    return "net.head.fc.weight"
+
+
+@pytest.mark.parametrize("edit", [_edit_extra, _edit_missing, _edit_shape], ids=["extra", "missing", "shape"])
+def test_forward_mismatched_checkpoint_exits_1_naming_the_entry(tmp_path, capsys, edit):
+    from hgformer.model import HGFormer, variant
+
+    state = HGFormer(variant("Micro", n_classes=4), seed=0).state_arrays()
+    name = edit(state)
+    ckpt = tmp_path / "m.ckpt"
+    save_tensors(ckpt, state)
+    out = tmp_path / "x.json"
+    assert run(["forward", "--image-size", 16, "--checkpoint", ckpt, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
 def test_gradcheck_cli_passes(tmp_path):
     out = tmp_path / "report.json"
     code = run(["gradcheck", "--variant", "Micro", "--batch", 1, "--out", out])

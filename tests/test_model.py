@@ -11,7 +11,6 @@ from hgformer.construct import TokenSet
 from hgformer.model import (
     HGFormer,
     block_forward,
-    compute_class_token,
     init_network_params,
     network_forward,
     patch_embed,
@@ -20,7 +19,7 @@ from hgformer.model import (
     vanilla_attention_variant,
     variant,
 )
-from hgformer.messaging import DropPath, LinearParams
+from hgformer.messaging import DropPath
 from hgformer.tensor import ConfigError, Tape, Tensor, cross_entropy_logits, mul, sum_all
 
 from conftest import attention_audit, numeric_grad, rel_err_max
@@ -118,30 +117,31 @@ def test_patch_embed_gradients(rng):
 # class token
 
 
-def test_class_token_of_identical_tokens_is_projection(rng):
-    c = 6
-    proj = LinearParams(
-        weight=Tensor(rng.uniform(-1, 1, (c, c)), requires_grad=True, dtype=np.float64),
-        bias=Tensor(rng.uniform(-1, 1, c), requires_grad=True, dtype=np.float64),
-    )
-    row = rng.uniform(-1, 1, c)
-    ts = TokenSet.from_nodes(Tensor(np.tile(row, (5, 1)), dtype=np.float64), (1, 5))
-    cls = compute_class_token(ts, proj)
-    npt.assert_allclose(cls.data[0], row @ proj.weight.data + proj.bias.data, atol=1e-12)
+@pytest.mark.parametrize(
+    "cfg, size, training",
+    [(micro(), 32, False), (variant("T", n_classes=10, drop_path_rate=0.3, k_schedule=scaled_k_schedule(64)), 64, True)],
+    ids=["micro32", "t64-droppath0.3"],
+)
+def test_construction_scores_against_the_mean_of_the_block_input(monkeypatch, cfg, size, training):
+    block_inputs, scored = [], []
+    orig_block, orig_build = model_mod.block_forward, model_mod.build_incidence
 
+    def block_spy(tokens, *args, **kwargs):
+        block_inputs.append(tokens.nodes)
+        return orig_block(tokens, *args, **kwargs)
 
-def test_class_token_permutation_invariant_and_matches_direct(rng):
-    c = 5
-    proj = LinearParams(
-        weight=Tensor(rng.uniform(-1, 1, (c, c)), dtype=np.float64),
-        bias=Tensor(rng.uniform(-1, 1, c), dtype=np.float64),
-    )
-    nodes = rng.uniform(-1, 1, (8, c))
-    ts1 = TokenSet.from_nodes(Tensor(nodes, dtype=np.float64), (2, 4))
-    ts2 = TokenSet.from_nodes(Tensor(nodes[rng.permutation(8)], dtype=np.float64), (2, 4))
-    npt.assert_allclose(compute_class_token(ts1, proj).data, compute_class_token(ts2, proj).data, atol=1e-12)
-    direct = nodes.mean(axis=0) @ proj.weight.data + proj.bias.data
-    npt.assert_allclose(compute_class_token(ts1, proj).data[0], direct, atol=1e-6)
+    def build_spy(tokens, *args, **kwargs):
+        scored.append(tokens)
+        return orig_build(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "block_forward", block_spy)
+    monkeypatch.setattr(model_mod, "build_incidence", build_spy)
+    img = np.random.default_rng(0).uniform(0, 1, (3, size, size)).astype(np.float32)
+    HGFormer(cfg, seed=0).forward(img, training=training, rng=np.random.default_rng(1))
+    assert len(scored) == len(block_inputs) == sum(cfg.depths)
+    for nodes, tokens in zip(block_inputs, scored):
+        assert tokens.nodes is nodes
+        npt.assert_array_equal(tokens.class_token.data, nodes.data.mean(axis=0, keepdims=True))
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import hgformer.training as training_mod
 from hgformer.data import ToyDataset, ToyDatasetSpec, make_toy_dataset
-from hgformer.model import HGFormer, variant
+from hgformer.model import HGFormer, scaled_k_schedule, variant
 from hgformer.tensor import ConfigError, NumericalError, scale
 from hgformer.training import (
     GRAD_CLIP_NORM,
@@ -179,6 +179,15 @@ def test_step_releases_the_batch_gradients_before_the_next_pass_and_the_val_pass
     assert refs
     assert alive["pass"] == [0] * (3 * 4)  # every pass after the first step
     assert alive["evaluate"] == [0, 0]
+
+
+@pytest.mark.parametrize("name, size, rate", [("Micro", 32, 0.0), ("T", 64, 0.3)], ids=["micro32", "t64-droppath0.3"])
+def test_every_parameter_gets_a_gradient_from_one_sample_pass(name, size, rate):
+    # the configs of the gradient goldens in tests/test_golden.py
+    model = HGFormer(variant(name, n_classes=10, drop_path_rate=rate, k_schedule=scaled_k_schedule(size)), seed=0)
+    image = np.random.default_rng(0).uniform(0.0, 1.0, (3, size, size)).astype(np.float32)
+    training_mod._sample_pass(model, image, 3, False, (0, 0))
+    assert [n for n, p in model.named_parameters().items() if p.grad is None] == []
 
 
 def test_nan_loss_aborts_with_diagnostics():
