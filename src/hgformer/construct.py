@@ -1,9 +1,7 @@
 """Hypergraph construction: token scoring, center sampling, k-NN hyperedges.
 
 Construction is discrete and runs on detached values; gradients never flow
-through topology selection. CS-KNN ranks nodes by their similarity to the
-token set's class token, which in the model is the mean of the nodes being
-grouped (:meth:`TokenSet.from_nodes`). Every function here is deterministic for fixed
+through topology selection. Every function here is deterministic for fixed
 inputs, and every ranking tie is broken toward the lower node index.
 """
 
@@ -28,9 +26,9 @@ KMEANS_ITERS = 20
 class TokenSet:
     """Node tokens ``(N, C)`` plus a class token and the grid they came from.
 
-    The class token is the reference CS-KNN scores nodes against. The model
-    always uses the node mean; an explicit token is for callers that pick
-    their own reference, such as ``hgformer topology --input``.
+    CS-KNN scores nodes against the class token. The model always uses the
+    node mean (:meth:`from_nodes`); ``hgformer topology --input`` may pass
+    its own.
     """
 
     nodes: Tensor

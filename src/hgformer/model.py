@@ -4,8 +4,6 @@ Four stages halve the resolution (the first quarters it) while widening the
 channels by the 1/2/5/8 multipliers. Every block rebuilds its hypergraph from
 the current tokens, runs node-to-hyperedge and hyperedge-to-node messaging,
 and adds the result back onto the node stream under a stochastic-depth gate.
-The class token that CS-KNN scores nodes against is the mean of the tokens
-the block groups; it holds no parameters.
 """
 
 from __future__ import annotations
@@ -284,11 +282,11 @@ def block_forward(
 ) -> TokenSet:
     """One messaging block; preserves token count and channels.
 
-    The hypergraph is rebuilt from the current tokens on every call, scored
-    against their class token: the node mean that :meth:`TokenSet.from_nodes`
-    computes. The messaging result joins the node stream through a residual
-    connection, so a fully dropped block (stochastic-depth rate 1) is the
-    identity.
+    The hypergraph is rebuilt from the current tokens on every call; CS-KNN
+    scores them against their mean, the class token of
+    :meth:`TokenSet.from_nodes`. The messaging result joins the node stream
+    through a residual connection, so a fully dropped block (stochastic-depth
+    rate 1) is the identity.
     """
     v = tokens.nodes
     grid = tokens.grid
