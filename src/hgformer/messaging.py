@@ -11,6 +11,7 @@ over the token grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .tensor import (
     add,
     attention_mix,
     attention_scores,
+    checkpoint,
     depthwise_conv2d,
     edge_gather_mean,
     gelu,
@@ -197,7 +199,7 @@ def multi_head_attention(query_src: Tensor, kv_src: Tensor, p: HgaParams) -> Ten
     kv_n = apply_norm(kv_src, p.norm_kv)
     k_all = linear(kv_n, p.k)
     v_all = linear(kv_n, p.v)
-    return linear(attention_core(q_all, k_all, v_all, p.n_heads), p.out)
+    return linear(checkpoint(partial(attention_core, n_heads=p.n_heads), q_all, k_all, v_all), p.out)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -206,7 +208,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     All heads run as one stacked op for the scores, with the ``1/sqrt(d)``
     scale folded into it, one softmax over their ``(H*Nq, Nk)`` rows, and one
     op mixing the values; head ``h`` owns channels ``[h*d, (h+1)*d)``. Its
-    cost scales as queries x keys x channels.
+    cost scales as queries x keys x channels. :func:`multi_head_attention`
+    runs it under :func:`~hgformer.tensor.checkpoint`, so a training forward
+    keeps q, k and v, not the probabilities, and backward recomputes them.
+    The softmax is looked up by this module's name at each call, so a wrapper
+    installed there sees the forward and the recompute.
     """
     scores = attention_scores(q, k, n_heads)
     return attention_mix(softmax_rows(scores), v, n_heads)

@@ -321,6 +321,8 @@ def network_forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Full pyramid: per stage, embed then blocks; pooled head at the end."""
+    if training and cfg.drop_path_rate > 0 and rng is None:
+        raise ConfigError(f"training with drop_path_rate {cfg.drop_path_rate} needs an rng for stochastic depth")
     x = image if isinstance(image, Tensor) else Tensor(image)
     if x.data.ndim != 3 or 0 in x.shape:
         raise ConfigError(f"expected a non-empty (C,H,W) image, got {x.shape}")

@@ -17,6 +17,12 @@ a leaf's gradient into ``Tensor.grad`` as soon as the rule that produces it
 runs, into a buffer the leaf owns and that later passes update in place; only
 the gradients of recorded outputs wait in backward.
 
+:func:`checkpoint` trades time for memory: it runs a composite with no tape
+and records it as one rule that keeps only the inputs' arrays, so nothing the
+composite computes inside is held until backward. That rule recomputes the
+composite on an inner tape and runs it backward. Multi-head attention wraps
+its core in it, so training keeps no ``(H*Nq, Nk)`` probability matrix.
+
 Each forward op allocates its output once and writes its intermediates in
 place into buffers it allocated itself, never into an input's ``data`` or an
 array a backward rule captured, and only where the destination already has
@@ -59,6 +65,7 @@ __all__ = [
     "add_flops",
     "attention_mix",
     "attention_scores",
+    "checkpoint",
     "cross_entropy_logits",
     "depthwise_conv2d",
     "edge_gather_mean",
@@ -151,7 +158,9 @@ class Tape:
     backward once and is empty afterwards; a second call raises
     ``RuntimeError``. To accumulate over passes, record each on its own tape.
     If a rule raises partway, the tape is partly consumed. Tapes nest; ops
-    record on the innermost one.
+    record on the innermost one. A :func:`checkpoint` rule nests an inner tape
+    inside backward: it records the recompute there and consumes it through
+    :meth:`_backward`, so :meth:`backward` runs once per pass.
     """
 
     def __init__(self):
@@ -188,6 +197,10 @@ class Tape:
         """
         if loss.size != 1:
             raise NumericalError(f"backward needs a scalar loss, got shape {loss.shape}")
+        self._backward(loss, np.ones_like(loss.data))
+
+    def _backward(self, out: Tensor, g: np.ndarray) -> None:
+        """Consume the tape from ``out`` seeded with ``g``: :meth:`backward`'s body and a checkpoint's recompute."""
         if self._consumed:
             raise RuntimeError("backward already ran on this tape; record each pass on a new tape")
         self._consumed = True
@@ -202,7 +215,7 @@ class Tape:
                 # a copy: the same g may reach two inputs, or be a read-only view
                 key.grad = np.array(g) if key.grad is None else _add_into(key.grad, g)
 
-        accum(_key(loss), np.ones_like(loss.data))
+        accum(_key(out), g)
         records = self._records
         while records:
             key, bwd = records.pop()
@@ -295,6 +308,59 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if ss == 1 and gs != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
+
+
+# --------------------------------------------------------------------------
+# recompute in backward
+
+
+@contextmanager
+def _suspended(stack: list):
+    """Run the block with ``stack`` (the active tapes or counters) empty, then restore it."""
+    saved = stack[:]
+    stack.clear()
+    try:
+        yield
+    finally:
+        stack[:] = saved
+
+
+def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+    """``fn(*inputs)`` as one recorded rule that keeps the inputs' arrays and reruns ``fn`` in backward.
+
+    With no tape recording it is a plain call. Otherwise ``fn`` runs with the
+    tape stack suspended, so no array it makes outlives the call but its
+    output, and the rule keeps each input's array and gradient key, never an
+    input :class:`Tensor`. Backward wraps the arrays as fresh leaves, reruns
+    ``fn`` on an inner tape seeded with the incoming gradient and hands each
+    leaf's gradient to ``accum``: the bytes of the unwrapped ops when ``fn``
+    reads each input once. A leaf read from elsewhere gets its gradient from
+    the inner tape; a recorded output gets one only as an input.
+
+    ``fn`` must draw no randomness, or the rerun differs from the forward:
+    attention wraps its core, not the branch with its drop-path draws. The
+    rerun calls what the forward called, so a wrapper over one of those
+    functions (the attention audit over ``messaging.softmax_rows``) sees it
+    again when active during backward; an active :class:`FlopCounter` counts
+    none of it, as it counts no backward rule.
+    """
+    if not _recorded(inputs):
+        return fn(*inputs)
+    with _suspended(_tapes):
+        out = fn(*inputs)
+    arrays = [t.data for t in inputs]
+    keys = _grad_keys(*inputs)
+
+    def bwd(g, accum):
+        leaves = [Tensor(a, requires_grad=k is not None) for a, k in zip(arrays, keys)]
+        with _suspended(_flop_counters), Tape() as tape:
+            y = fn(*leaves)
+        tape._backward(y, g)
+        for leaf, k in zip(leaves, keys):
+            if leaf.grad is not None:
+                accum(k, leaf.grad)
+
+    return _make(out.data, inputs, bwd)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hgformer.model import (
     variant,
 )
 from hgformer.messaging import DropPath
-from hgformer.tensor import ConfigError, Tape, Tensor, cross_entropy_logits, mul, sum_all
+from hgformer.tensor import ConfigError, FlopCounter, Tape, Tensor, cross_entropy_logits, mul, sum_all
 
 from conftest import attention_audit, numeric_grad, rel_err_max
 
@@ -327,23 +327,35 @@ def test_checkpoint_roundtrip_restores_logits(tmp_path, rng):
     npt.assert_array_equal(m2.forward(img).data, ref)
 
 
-def test_micro_training_forward_records_at_most_159_ops(rng):
-    # the heads of an attention call share one scores op, which also scales,
-    # and one mixing op, and a biased linear is one op; per-head ops or a
-    # separate scale op would lengthen the tape again
-    m = HGFormer(micro(), seed=0)
-    img = rng.uniform(0, 1, (3, 32, 32)).astype(np.float32)
-    with Tape() as tape:
-        m.forward(img, training=True, rng=np.random.default_rng(0))
-    assert len(tape) <= 159
+def test_training_forward_rejects_drop_path_without_rng():
+    # DropPath draws from the rng on every branch; without one it ended in an
+    # AttributeError on None deep inside the first block
+    m = HGFormer(micro(drop_path_rate=0.5), seed=0)
+    img = np.zeros((3, 32, 32), dtype=np.float32)
+    with pytest.raises(ConfigError, match="needs an rng"):
+        m.forward(img, training=True)
+    m.forward(img)  # eval draws nothing
+    HGFormer(micro(), seed=0).forward(img, training=True)  # rate 0 draws nothing
 
 
 def _retention_model(name):
-    """Micro@32, or T@64 with drop-path 0.3, and a seeded image of its size."""
-    size = {"Micro": 32, "T": 64}[name]
-    cfg = micro() if name == "Micro" else variant("T", n_classes=4, drop_path_rate=0.3, k_schedule=scaled_k_schedule(64))
+    """Micro@32, or T@64 / T@224 with drop-path 0.3, and a seeded image of its size."""
+    size = {"Micro": 32, "T": 64, "T@224": 224}[name]
+    cfg = micro() if name == "Micro" else variant("T", n_classes=4, drop_path_rate=0.3, k_schedule=scaled_k_schedule(size))
     image = np.random.default_rng(0).uniform(0, 1, (3, size, size)).astype(np.float32)
     return HGFormer(cfg, seed=0), Tensor(image)
+
+
+@pytest.mark.parametrize("name, records", [("Micro", 142), ("T@224", 333)])
+def test_training_forward_tape_length(name, records):
+    # an attention call records its norms, its projections and one checkpoint
+    # rule for the core, which was 3 rules (scores, softmax, mixing): Micro@32
+    # recorded 158 and T@224 369; a separate scale op, per-head ops or an
+    # unbiased linear plus add would lengthen the tape again
+    m, image = _retention_model(name)
+    with Tape() as tape:
+        m.forward(image, training=True, rng=np.random.default_rng(0))
+    assert len(tape) == records
 
 
 @pytest.mark.parametrize("name", ["Micro", "T"])
@@ -358,9 +370,9 @@ def test_backward_rules_capture_no_op_output(name):
     assert [v.shape for v in captured if isinstance(v, Tensor) and id(v) not in leaves] == []
 
 
-def _t64_training_forward_held():
-    """tracemalloc bytes alive after a T@64 training forward, with tape and logits kept."""
-    m, image = _retention_model("T")
+def _training_forward_held(name):
+    """tracemalloc bytes alive after a training forward, with tape and logits kept."""
+    m, image = _retention_model(name)
     m.forward(image)
     gc.collect()
     tracemalloc.start()
@@ -379,48 +391,73 @@ def test_t64_training_forward_holds_under_5_5_mib():
     # tracemalloc bytes alive after the forward, with tape and logits kept, are
     # the arrays backward reads (4.0 MiB); a tape that kept every op output
     # alive would hold 7.7 MiB
-    assert _t64_training_forward_held() < 5.5 * 2**20
+    assert _training_forward_held("T") < 5.5 * 2**20
 
 
 def test_t64_training_forward_holds_under_4_3_mib():
     # GELU's rule keeps its derivative, one array; keeping x and Phi(x) held 4.6 MiB
-    assert _t64_training_forward_held() < 4.3 * 2**20
+    assert _training_forward_held("T") < 4.3 * 2**20
 
 
-def _t64_forward_loss(m, image):
+def test_t224_training_forward_holds_under_45_mib():
+    # the checkpointed attention core keeps q, k and v, not its (H*Nq, Nk)
+    # probabilities (41.6 MiB held); keeping them for backward held 58.9 MiB
+    assert _training_forward_held("T@224") < 45 * 2**20
+
+
+def _forward_loss(m, image):
     with Tape() as tape:
         loss = cross_entropy_logits(m.forward(image, training=True, rng=np.random.default_rng(0)), 1)
     return tape, loss
 
 
-def _t64_backward_peak_with_gradients_present():
-    """tracemalloc peak of a T@64 sample's backward, traced from the end of its forward, after a first pass."""
-    m, image = _retention_model("T")
-    tape, loss = _t64_forward_loss(m, image)
+def _backward_peak_with_gradients_present(name, from_forward=False):
+    """tracemalloc peak of a sample's backward over its start, after a first pass.
+
+    Traced from the end of the forward, the peak counts every array backward
+    allocates and credits none it frees; traced from the start of the forward
+    (``from_forward``), it also credits the forward's arrays backward frees.
+    """
+    m, image = _retention_model(name)
+    tape, loss = _forward_loss(m, image)
     tape.backward(loss)
-    tape, loss = _t64_forward_loss(m, image)
     gc.collect()
-    tracemalloc.start()
+    if from_forward:
+        tracemalloc.start()
     try:
+        tape, loss = _forward_loss(m, image)
+        if not from_forward:
+            gc.collect()
+            tracemalloc.start()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         tape.backward(loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+    return peak - start
 
 
 def test_t64_backward_with_gradients_present_peaks_under_30_mib():
     # each parameter gradient goes into Tensor.grad as its rule runs; holding
     # the pass's gradients until backward ends, next to the ones already in
     # Tensor.grad, peaked at 36 MiB
-    assert _t64_backward_peak_with_gradients_present() < 30 * 2**20
+    assert _backward_peak_with_gradients_present("T") < 30 * 2**20
 
 
 def test_t64_backward_with_gradients_present_peaks_under_2_mib():
     # with gradients present backward allocates only transients (1.0 MiB): it
     # adds into each Tensor.grad in place, where a new array per pass peaked
     # at 18.4 MiB
-    assert _t64_backward_peak_with_gradients_present() < 2 * 2**20
+    assert _backward_peak_with_gradients_present("T") < 2 * 2**20
+
+
+def test_t224_backward_with_gradients_present_peaks_under_2_mib():
+    # 1.3 MiB over its start: a recomputed stage-0 core allocates its 4.7 MiB
+    # probabilities and their gradient again (uncredited, the peak reads 15.7
+    # MiB, 10.6 when the forward kept them), but by then backward has freed
+    # more of what the forward held
+    assert _backward_peak_with_gradients_present("T@224", from_forward=True) < 2 * 2**20
 
 
 def test_t64_backward_consumes_its_tape_and_frees_what_the_forward_held():
@@ -428,13 +465,13 @@ def test_t64_backward_consumes_its_tape_and_frees_what_the_forward_held():
     # captured are gone once backward ends, and the gradients already present
     # are updated in place, so the traced bytes return to the pre-forward base
     m, image = _retention_model("T")
-    tape, loss = _t64_forward_loss(m, image)
+    tape, loss = _forward_loss(m, image)
     tape.backward(loss)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        tape, loss = _t64_forward_loss(m, image)
+        tape, loss = _forward_loss(m, image)
         tape.backward(loss)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
@@ -450,3 +487,42 @@ def test_attention_rows_audited_across_full_forward(rng):
         m.forward(img)
     assert len(audit) >= 8  # two attentions per block, four blocks
     assert max(dev for dev, _ in audit) <= 1e-6
+
+
+# rows of each attention softmax in a Micro@32 forward, in call order
+MICRO_ATTENTION_ROWS = [8, 64, 4, 16, 4, 8, 4, 4]
+
+
+def test_attention_audit_sees_each_forward_softmax_once_and_the_recompute_in_backward():
+    # the checkpointed core calls messaging.softmax_rows in the forward and
+    # again when backward recomputes it, last attention call first
+    m = HGFormer(micro(), seed=0)
+    img = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 32, 32)).astype(np.float32))
+    with attention_audit() as audit:
+        m.forward(img)
+    assert [n for _, n in audit] == MICRO_ATTENTION_ROWS
+    with attention_audit() as audit:
+        tape, loss = _forward_loss(m, img)
+    assert [n for _, n in audit] == MICRO_ATTENTION_ROWS
+    with attention_audit() as audit:
+        tape.backward(loss)
+    assert [n for _, n in audit] == MICRO_ATTENTION_ROWS[::-1]
+    assert max(dev for dev, _ in audit) <= 1e-6
+
+
+def test_flop_counter_counts_the_forward_and_not_the_recompute():
+    # a training forward counts the checkpointed core once, as eval does;
+    # backward rules count no flops, the recompute included
+    m = HGFormer(micro(), seed=0)
+    img = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 32, 32)).astype(np.float32))
+    with FlopCounter() as evaluation:
+        m.forward(img)
+    with Tape() as tape:
+        with FlopCounter() as forward:
+            logits = m.forward(img, training=True, rng=np.random.default_rng(0))
+        loss = cross_entropy_logits(logits, 1)
+    with FlopCounter() as backward:
+        tape.backward(loss)
+    assert evaluation.total == forward.total == 3_056_084
+    assert backward.total == 0 and backward.seconds == {}
+    assert all(p.grad is not None for p in m.named_parameters().values())

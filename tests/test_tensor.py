@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 from scipy.special import erf
 
 from hgformer.construct import IncidenceMatrix
+from hgformer.messaging import attention_core
 from hgformer.model import HGFormer, variant
-from hgformer.training import AdamW
+from hgformer.training import AdamW, _sample_pass
 from hgformer.tensor import (
     ConfigError,
     FlopCounter,
@@ -21,6 +22,7 @@ from hgformer.tensor import (
     add,
     attention_mix,
     attention_scores,
+    checkpoint,
     cross_entropy_logits,
     depthwise_conv2d,
     edge_gather_mean,
@@ -394,6 +396,113 @@ def test_ops_outside_tape_do_not_record():
         pass
     sum_all(x)
     assert len(tape) == 0
+
+
+# --------------------------------------------------------------------------
+# checkpoint
+
+
+def _attention_inputs(dtype, projected):
+    """Leaves and a builder of q, k, v of width 64: the leaves themselves, or matmul projections of leaf tokens."""
+    rng = np.random.default_rng(11)
+    x, kv = (Tensor(rng.standard_normal((n, 64)), requires_grad=True, dtype=dtype) for n in (6, 20))
+    if not projected:
+        v = Tensor(rng.standard_normal((20, 64)), requires_grad=True, dtype=dtype)
+        return [x, kv, v], lambda: (x, kv, v)
+    ws = [Tensor(rng.normal(0.0, 0.3, (64, 64)), requires_grad=True, dtype=dtype) for _ in range(3)]
+    return [x, kv, *ws], lambda: (matmul(x, ws[0]), matmul(kv, ws[1]), matmul(kv, ws[2]))
+
+
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpointed_attention_core_gradients_byte_equal_to_the_unwrapped_ops(dtype, heads, projected):
+    g_out = Tensor(np.random.default_rng(12).standard_normal((6, 64)), dtype=dtype)
+    runs = []
+    for wrapped in (False, True):
+        leaves, inputs = _attention_inputs(dtype, projected)
+        with Tape() as tape:
+            q, k, v = inputs()
+            if wrapped:
+                out = checkpoint(lambda q, k, v: attention_core(q, k, v, heads), q, k, v)
+            else:
+                out = attention_core(q, k, v, heads)
+            loss = sum_all(mul(out, g_out))
+        tape.backward(loss)
+        runs.append((out.data, [t.grad for t in leaves]))
+    (ref_out, ref_grads), (out, grads) = runs
+    assert out.tobytes() == ref_out.tobytes()
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), i
+        # downstream matmuls take their kernel from the layout, so it must match too
+        assert g.strides == ref.strides, i
+
+
+def test_checkpoint_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    a, b = t64(rng.uniform(-1, 1, (3, 4))), t64(rng.uniform(-1, 1, (4, 5)))
+    gamma, beta = t64(rng.uniform(0.5, 1.5, 5)), t64(rng.uniform(-0.5, 0.5, 5))
+    w = Tensor(rng.uniform(-1, 1, (3, 5)), dtype=np.float64)
+
+    def composite(a, b):
+        return softmax_rows(layer_norm(gelu(matmul(a, b)), gamma, beta))
+
+    def loss():
+        return float((composite(a, b).data * w.data).sum())
+
+    # gamma and beta are leaves read inside the composite, not inputs: the
+    # recompute's inner tape adds into their grad directly
+    leaves = (a, b, gamma, beta)
+    grads = tape_grad(lambda: sum_all(mul(checkpoint(composite, a, b), w)), *leaves)
+    for t, g in zip(leaves, grads):
+        assert rel_err_max(g, numeric_grad(loss, t)) < 1e-6
+
+
+def test_checkpoint_without_a_tape_is_a_plain_call():
+    rng = np.random.default_rng(14)
+    q, k, v = (t64(rng.standard_normal((n, 64))) for n in (5, 9, 9))
+
+    def core(q, k, v):
+        return attention_core(q, k, v, 2)
+
+    with Tape() as tape:
+        pass
+    out = checkpoint(core, q, k, v)
+    assert len(tape) == 0 and out.key is None
+    assert out.data.tobytes() == core(q, k, v).data.tobytes()
+    with Tape() as tape:
+        recorded = checkpoint(core, q, k, v)
+    assert len(tape) == 1 and recorded.data.tobytes() == out.data.tobytes()
+
+
+def test_consumed_tape_with_a_checkpoint_still_raises_on_second_backward():
+    x = t64(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+    with Tape() as tape:
+        loss = sum_all(checkpoint(lambda x: gelu(scale(x, 2.0)), x))
+    tape.backward(loss)
+    first = x.grad.copy()
+    assert len(tape) == 0
+    with pytest.raises(RuntimeError, match="already ran"):
+        tape.backward(loss)
+    assert x.grad.tobytes() == first.tobytes()
+
+
+def test_micro_training_pass_calls_tape_backward_once(monkeypatch):
+    # the recompute consumes its inner tape through Tape._backward, so a
+    # wrapper over the public method counts one call and one tape per pass
+    model = HGFormer(variant("Micro", n_classes=4), seed=0)
+    image = np.random.default_rng(0).uniform(0, 1, (3, 32, 32)).astype(np.float32)
+    calls = []
+    backward = Tape.backward
+
+    def counted(tape, loss):
+        calls.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", counted)
+    _sample_pass(model, image, 1, False, (0,))
+    assert calls == [143]  # 142 forward records and the loss
+    assert all(p.grad is not None for p in model.named_parameters().values())
 
 
 # --------------------------------------------------------------------------
